@@ -293,12 +293,15 @@ func (se *ShardedEngine) RecommendBatch(ctx context.Context, items []BatchItem) 
 	groups := make(map[int][]int)
 	var markets []int
 	for i := range items {
+		if se.cache != nil {
+			// Set before routing: a routing failure is no batch duplicate.
+			dupOf[i] = -1
+		}
 		if _, err := st.shardFor(items[i].Carrier); err != nil {
 			results[i].Err = err
 			continue
 		}
 		if se.cache != nil {
-			dupOf[i] = -1
 			kb := keyBufs.Get().(*[]byte)
 			*kb = appendCacheKey((*kb)[:0], st.gen, items[i].Carrier, items[i].Neighbors)
 			if recs, ok := se.cache.get(*kb); ok {
