@@ -195,8 +195,7 @@ func keyHashStr(s string) uint64 {
 	return h
 }
 
-// Counter helpers pair the per-engine stat with its process-wide metric;
-// batch and stream paths attribute hits/misses/shared themselves.
+// Counter helpers pair the per-engine stat with its process-wide metric.
 func (rc *recCache) countHit()    { rc.hits.Add(1); cacheHitsTotal.Inc() }
 func (rc *recCache) countMiss()   { rc.misses.Add(1); cacheMissesTotal.Inc() }
 func (rc *recCache) countShared() { rc.shared.Add(1); cacheSharedTotal.Inc() }
@@ -267,55 +266,29 @@ func (rc *recCache) reset() {
 	cacheEntriesGauge.Set(0)
 }
 
-// recommend is the singleflight read-through path: serve from cache,
-// else join an identical in-flight computation, else compute (and cache
-// on success — errors are never cached). A waiter whose leader failed
-// computes independently rather than inheriting the failure, so one
-// cancelled request cannot poison the requests that piled up behind it.
-func (rc *recCache) recommend(key []byte, compute func() ([]Recommendation, error)) ([]Recommendation, error) {
-	if recs, ok := rc.get(key); ok {
-		rc.countHit()
-		return recs, nil
-	}
-	ks := string(key)
+// join registers a request for key's answer. The first arrival leads
+// (lead is true) and must settle f once it has computed; later arrivals
+// wait on f.done and share the leader's result.
+func (rc *recCache) join(key string) (f *flight, lead bool) {
 	rc.flightMu.Lock()
-	if f, ok := rc.flights[ks]; ok {
-		rc.flightMu.Unlock()
-		<-f.done
-		if f.err == nil {
-			rc.countShared()
-			return f.recs, nil
-		}
-		rc.countMiss()
-		return compute()
+	defer rc.flightMu.Unlock()
+	if f, ok := rc.flights[key]; ok {
+		return f, false
 	}
-	f := &flight{done: make(chan struct{})}
-	rc.flights[ks] = f
-	rc.flightMu.Unlock()
-	// Re-check under flight leadership: a previous leader may have
-	// populated the entry between our miss and our registration, and
-	// counting that as a hit keeps "N concurrent identical requests ->
-	// exactly one computation" exact rather than approximate.
-	if recs, ok := rc.get(key); ok {
-		rc.countHit()
-		f.recs = recs
-		rc.endFlight(ks, f)
-		return recs, nil
-	}
-	recs, err := compute()
-	f.recs, f.err = recs, err
-	if err == nil {
-		rc.put(ks, recs)
-	}
-	rc.countMiss()
-	rc.endFlight(ks, f)
-	return recs, err
+	f = &flight{done: make(chan struct{})}
+	rc.flights[key] = f
+	return f, true
 }
 
-// endFlight publishes the flight's result: the key leaves the flight map
-// first, so a request arriving after the close finds the cached entry
-// instead of a spent flight.
-func (rc *recCache) endFlight(key string, f *flight) {
+// settle publishes a leader's result: a success is cached (errors never
+// are), then the key leaves the flight map before followers are released,
+// so a request arriving after the close finds the cached entry instead of
+// a spent flight.
+func (rc *recCache) settle(key string, f *flight, recs []Recommendation, err error) {
+	if err == nil {
+		rc.put(key, recs)
+	}
+	f.recs, f.err = recs, err
 	rc.flightMu.Lock()
 	delete(rc.flights, key)
 	rc.flightMu.Unlock()

@@ -203,7 +203,7 @@ func (se *ShardedEngine) Inventory() (*lte.Network, *geo.Graph, int64, error) {
 	return st.net, st.x2, st.gen, nil
 }
 
-// ShardSize reports the carriers served by each market shard in the
+// ShardSizes reports the carriers served by each market shard in the
 // current generation, indexed by market id (0 for untrained markets).
 func (se *ShardedEngine) ShardSizes() ([]int, error) {
 	st, err := se.acquire()
@@ -237,150 +237,40 @@ func (se *ShardedEngine) Recommend(c *lte.Carrier, neighbors []lte.CarrierID) ([
 	return se.RecommendContext(context.Background(), c, neighbors)
 }
 
-// RecommendContext routes one carrier to its market shard, pinning the
-// serving generation for the duration of the call.
+// RecommendContext answers one carrier: a RecommendStream of one item.
 func (se *ShardedEngine) RecommendContext(ctx context.Context, c *lte.Carrier, neighbors []lte.CarrierID) ([]Recommendation, error) {
-	st, err := se.acquire()
+	var res BatchResult
+	err := se.RecommendStream(ctx, []BatchItem{{Carrier: c, Neighbors: neighbors}}, 1, func(_ int, r BatchResult) { res = r })
 	if err != nil {
 		return nil, err
 	}
-	defer st.release()
-	eng, err := st.shardFor(c)
-	if err != nil {
-		return nil, err
-	}
-	var recs []Recommendation
-	if se.cache != nil {
-		kb := keyBufs.Get().(*[]byte)
-		*kb = appendCacheKey((*kb)[:0], st.gen, c, neighbors)
-		recs, err = se.cache.recommend(*kb, func() ([]Recommendation, error) {
-			return eng.RecommendContext(ctx, c, neighbors)
-		})
-		keyBufs.Put(kb)
-	} else {
-		recs, err = eng.RecommendContext(ctx, c, neighbors)
-	}
-	if err == nil && len(recs) > 0 {
-		if o := se.observer(); o != nil {
-			o.ObserveServed(c.Market, c, recs)
-		}
-	}
-	return recs, err
+	return res.Recommendations, res.Err
 }
 
-// RecommendBatch answers a multi-market batch in one generation: items
-// group by market, each market's sub-batch runs as one Engine fan-out,
-// and the markets recommend concurrently. Every item's result lands in
-// its request-order slot; routing failures (unknown market, untrained
-// shard) are per-item errors, exactly like engine item errors.
+// RecommendBatch answers a multi-market batch in one generation: the
+// collected RecommendStream at the default chunk size. Every item's result
+// lands in its request-order slot; routing failures (unknown market,
+// untrained shard) are per-item errors, exactly like engine item errors.
 func (se *ShardedEngine) RecommendBatch(ctx context.Context, items []BatchItem) ([]BatchResult, error) {
-	st, err := se.acquire()
-	if err != nil {
-		return nil, err
-	}
-	defer st.release()
 	results := make([]BatchResult, len(items))
-	// With the cache on, each item is looked up first; repeat keys within
-	// the batch compute once (the first occurrence leads, the rest copy).
-	var keys []string // per item: its cache key, "" when not computing
-	var dupOf []int   // per item: index of the batch-local leader, or -1
-	var leaders map[string]int
-	if se.cache != nil {
-		keys = make([]string, len(items))
-		dupOf = make([]int, len(items))
-		leaders = make(map[string]int, len(items))
-	}
-	groups := make(map[int][]int)
-	var markets []int
-	for i := range items {
-		if se.cache != nil {
-			// Set before routing: a routing failure is no batch duplicate.
-			dupOf[i] = -1
-		}
-		if _, err := st.shardFor(items[i].Carrier); err != nil {
-			results[i].Err = err
-			continue
-		}
-		if se.cache != nil {
-			kb := keyBufs.Get().(*[]byte)
-			*kb = appendCacheKey((*kb)[:0], st.gen, items[i].Carrier, items[i].Neighbors)
-			if recs, ok := se.cache.get(*kb); ok {
-				se.cache.countHit()
-				results[i].Recommendations = recs
-				keyBufs.Put(kb)
-				continue
-			}
-			ks := string(*kb)
-			keyBufs.Put(kb)
-			if lead, seen := leaders[ks]; seen {
-				dupOf[i] = lead
-				continue
-			}
-			leaders[ks] = i
-			keys[i] = ks
-		}
-		m := items[i].Carrier.Market
-		if _, seen := groups[m]; !seen {
-			markets = append(markets, m)
-		}
-		groups[m] = append(groups[m], i)
-	}
-	var wg sync.WaitGroup
-	for _, m := range markets {
-		idx := groups[m]
-		sub := make([]BatchItem, len(idx))
-		for j, i := range idx {
-			sub[j] = items[i]
-		}
-		wg.Add(1)
-		go func(eng *Engine, sub []BatchItem, idx []int) {
-			defer wg.Done()
-			res, err := eng.RecommendBatch(ctx, sub)
-			for j, i := range idx {
-				if err != nil {
-					results[i].Err = err
-					continue
-				}
-				results[i] = res[j]
-			}
-		}(st.shards[m], sub, idx)
-	}
-	wg.Wait()
-	if se.cache != nil {
-		for i := range items {
-			if keys[i] == "" {
-				continue
-			}
-			se.cache.countMiss()
-			if results[i].Err == nil {
-				se.cache.put(keys[i], results[i].Recommendations)
-			}
-		}
-		for i := range items {
-			if dupOf[i] >= 0 {
-				se.cache.countShared()
-				results[i] = results[dupOf[i]]
-			}
-		}
-	}
-	if o := se.observer(); o != nil {
-		for i := range results {
-			if results[i].Err == nil && len(results[i].Recommendations) > 0 {
-				o.ObserveServed(items[i].Carrier.Market, items[i].Carrier, results[i].Recommendations)
-			}
-		}
+	if err := se.RecommendStream(ctx, items, 0, func(i int, r BatchResult) { results[i] = r }); err != nil {
+		return nil, err
 	}
 	return results, nil
 }
 
-// RecommendStream recommends for items and emits each result through emit
-// in strict request order as it becomes available, without waiting for
-// the whole batch — the engine side of NDJSON batch streaming. Items are
-// planned into per-market chunks of chunk items (0 means the default
-// chunk size); chunks launch lazily, at most streamAhead in flight, so
-// early results emit while the tail of a 10K-carrier sweep has not even
-// started. emit runs on the calling goroutine; a slow consumer simply
-// slows the launch window down (backpressure), it never reorders output.
+// RecommendStream is the one serving path: it recommends for items in one
+// pinned generation and emits each result through emit in strict request
+// order as it becomes available — the engine side of NDJSON batch
+// streaming. Each item is routed to its market shard and looked up in the
+// cache; items that need computing join an identical in-flight
+// computation (another request's, or an earlier item of this one) or lead
+// their own, planned into per-market chunks of chunk items (0 means the
+// default chunk size). Chunks launch in planning order, at most
+// streamAhead in flight, so early results emit while the tail of a
+// 10K-carrier sweep has not even started. emit runs on the calling
+// goroutine; a slow consumer slows the emitter, never reorders output.
+// The error is non-nil only when no generation is loaded.
 func (se *ShardedEngine) RecommendStream(ctx context.Context, items []BatchItem, chunk int, emit func(i int, res BatchResult)) error {
 	if chunk <= 0 {
 		chunk = defaultStreamChunk
@@ -390,95 +280,178 @@ func (se *ShardedEngine) RecommendStream(ctx context.Context, items []BatchItem,
 		return err
 	}
 	defer st.release()
-
-	type chunkT struct {
-		eng  *Engine
-		idx  []int
-		done chan struct{}
-	}
-	results := make([]BatchResult, len(items))
-	chunkOf := make([]*chunkT, len(items))
-	var chunks []*chunkT
-	var keys []string // per item: cache key to fill after its chunk lands
-	if se.cache != nil {
-		keys = make([]string, len(items))
-	}
-	open := make(map[int]*chunkT)
+	kb := keyBufs.Get().(*[]byte)
+	defer keyBufs.Put(kb)
+	o := se.observer()
+	// Routing failures and cache hits ahead of the first item that needs
+	// computing emit straight away: no plan exists until then, which keeps
+	// the hit path allocation-free.
+	var p *streamPlan
 	for i := range items {
-		eng, err := st.shardFor(items[i].Carrier)
-		if err != nil {
-			results[i].Err = err // emitted in order with the rest
+		var res BatchResult
+		if p == nil {
+			var done bool
+			if res, done = se.lookup(st, &items[i], kb); !done {
+				p = se.plan(ctx, st, items, i, chunk, kb)
+			}
+		}
+		if p != nil {
+			res = p.await(i - p.first)
+		}
+		if o != nil && res.Err == nil && len(res.Recommendations) > 0 {
+			o.ObserveServed(items[i].Carrier.Market, items[i].Carrier, res.Recommendations)
+		}
+		emit(i, res)
+	}
+	return nil
+}
+
+// lookup routes it and, with the cache on, looks its key (built into kb)
+// up. done reports that res is final: a routing failure or a cache hit.
+func (se *ShardedEngine) lookup(st *shardState, it *BatchItem, kb *[]byte) (res BatchResult, done bool) {
+	if _, err := st.shardFor(it.Carrier); err != nil {
+		return BatchResult{Err: err}, true
+	}
+	if se.cache == nil {
+		return res, false
+	}
+	*kb = appendCacheKey((*kb)[:0], st.gen, it.Carrier, it.Neighbors)
+	if res.Recommendations, done = se.cache.get(*kb); done {
+		se.cache.countHit()
+	}
+	return res, done
+}
+
+// streamPlan is one RecommendStream call's state from its first item that
+// needs computing on: a slot per remaining item and the chunks computing
+// them. Items are copied in, so the caller's slice never escapes.
+type streamPlan struct {
+	ctx   context.Context
+	st    *shardState
+	rc    *recCache
+	first int
+	slots []planSlot
+}
+
+// planSlot is one item of a plan. Exactly one of chunk and wait is set for
+// an item whose answer was not final at planning time.
+type planSlot struct {
+	item  BatchItem
+	res   BatchResult
+	chunk *streamChunk // the chunk computing this item
+	lead  *flight      // the flight this item leads, settled by its chunk
+	wait  *flight      // another computation's flight this item joined
+	key   string
+}
+
+// streamChunk is one market's run of at most chunk computing items,
+// answered by a single Engine.RecommendBatch fan-out.
+type streamChunk struct {
+	eng  *Engine
+	idx  []int // slot indices
+	done chan struct{}
+}
+
+// plan routes, looks up and groups items[first:], then starts launching
+// the chunks.
+func (se *ShardedEngine) plan(ctx context.Context, st *shardState, items []BatchItem, first, chunk int, kb *[]byte) *streamPlan {
+	p := &streamPlan{ctx: ctx, st: st, rc: se.cache, first: first, slots: make([]planSlot, len(items)-first)}
+	var chunks []*streamChunk
+	open := make(map[int]*streamChunk)
+	for k := range p.slots {
+		s := &p.slots[k]
+		s.item = items[first+k]
+		var done bool
+		if s.res, done = se.lookup(st, &s.item, kb); done {
 			continue
 		}
-		if se.cache != nil {
-			kb := keyBufs.Get().(*[]byte)
-			*kb = appendCacheKey((*kb)[:0], st.gen, items[i].Carrier, items[i].Neighbors)
-			if recs, ok := se.cache.get(*kb); ok {
-				// A hit skips chunk planning entirely: the item emits as
-				// soon as the emitter reaches it, ahead of any compute.
-				se.cache.countHit()
-				results[i].Recommendations = recs
-				keyBufs.Put(kb)
+		if p.rc != nil {
+			s.key = string(*kb)
+			f, lead := p.rc.join(s.key)
+			if !lead {
+				s.wait = f
 				continue
 			}
-			keys[i] = string(*kb)
-			keyBufs.Put(kb)
+			// Re-check as leader: a flight that settled between the miss
+			// and the join left its entry behind, and counting that as a
+			// hit keeps "N concurrent identical requests -> exactly one
+			// computation" exact rather than approximate.
+			if recs, ok := p.rc.get(*kb); ok {
+				p.rc.countHit()
+				p.rc.settle(s.key, f, recs, nil)
+				s.res.Recommendations = recs
+				continue
+			}
+			s.lead = f
 		}
-		m := items[i].Carrier.Market
+		m := s.item.Carrier.Market
 		c := open[m]
 		if c == nil || len(c.idx) >= chunk {
-			c = &chunkT{eng: eng, done: make(chan struct{})}
+			c = &streamChunk{eng: st.shards[m], done: make(chan struct{})}
 			open[m] = c
 			chunks = append(chunks, c)
 		}
-		c.idx = append(c.idx, i)
-		chunkOf[i] = c
+		c.idx = append(c.idx, k)
+		s.chunk = c
 	}
-
-	// Launcher: start chunks in planning order, never more than
-	// streamAhead in flight. Acquiring the slot before the goroutine
-	// starts keeps the launch order deterministic.
-	sem := make(chan struct{}, streamAhead)
+	// Acquiring the slot before each chunk starts keeps the launch order
+	// deterministic.
 	go func() {
+		sem := make(chan struct{}, streamAhead)
 		for _, c := range chunks {
 			sem <- struct{}{}
-			go func(c *chunkT) {
+			go func(c *streamChunk) {
 				defer func() { <-sem }()
-				defer close(c.done)
-				sub := make([]BatchItem, len(c.idx))
-				for j, i := range c.idx {
-					sub[j] = items[i]
-				}
-				res, err := c.eng.RecommendBatch(ctx, sub)
-				for j, i := range c.idx {
-					if err != nil {
-						results[i].Err = err
-						continue
-					}
-					results[i] = res[j]
-				}
+				p.run(c)
 			}(c)
 		}
 	}()
+	return p
+}
 
-	// Emitter: strict request order, each item as soon as its chunk lands.
-	// Cache hits (no chunk) emit immediately; computed items are stored
-	// under their key here, once their chunk delivers.
-	o := se.observer()
-	for i := range items {
-		if c := chunkOf[i]; c != nil {
-			<-c.done
-			if se.cache != nil && keys[i] != "" {
-				se.cache.countMiss()
-				if results[i].Err == nil {
-					se.cache.put(keys[i], results[i].Recommendations)
-				}
-			}
-		}
-		if o != nil && results[i].Err == nil && len(results[i].Recommendations) > 0 {
-			o.ObserveServed(items[i].Carrier.Market, items[i].Carrier, results[i].Recommendations)
-		}
-		emit(i, results[i])
+// run computes one chunk, then settles the flights its items lead: the
+// cache fills and every joined request is released as soon as the chunk
+// lands.
+func (p *streamPlan) run(c *streamChunk) {
+	defer close(c.done)
+	sub := make([]BatchItem, len(c.idx))
+	for j, k := range c.idx {
+		sub[j] = p.slots[k].item
 	}
-	return nil
+	res, err := c.eng.RecommendBatch(p.ctx, sub)
+	for j, k := range c.idx {
+		s := &p.slots[k]
+		if err != nil {
+			s.res.Err = err
+		} else {
+			s.res = res[j]
+		}
+		if s.lead != nil {
+			p.rc.countMiss()
+			p.rc.settle(s.key, s.lead, s.res.Recommendations, s.res.Err)
+		}
+	}
+}
+
+// await blocks until slot k's answer is final and returns it. A follower
+// whose leader failed computes on its own rather than inheriting the
+// failure, so one cancelled request cannot poison the requests that piled
+// up behind it.
+func (p *streamPlan) await(k int) BatchResult {
+	s := &p.slots[k]
+	switch {
+	case s.chunk != nil:
+		<-s.chunk.done
+	case s.wait != nil:
+		<-s.wait.done
+		if s.wait.err == nil {
+			p.rc.countShared()
+			s.res.Recommendations = s.wait.recs
+		} else {
+			p.rc.countMiss()
+			eng := p.st.shards[s.item.Carrier.Market]
+			s.res.Recommendations, s.res.Err = eng.RecommendContext(p.ctx, s.item.Carrier, s.item.Neighbors)
+		}
+	}
+	return s.res
 }
