@@ -57,7 +57,7 @@ type Options struct {
 	Learner learn.Learner
 	// Local enables geographic scoping: recommendations vote only among
 	// carriers within Hops X2 hops of the new carrier. Requires the
-	// learner's models to implement learn.ScopedModel (CF does).
+	// learner's models to implement learn.SiteScoper (CF does).
 	Local bool
 	// Hops is the scoping radius; zero means 1 (the paper's setting).
 	Hops int
@@ -313,7 +313,7 @@ func (e *Engine) codesRep(pis []int) learn.CodesModel {
 
 // scopesFor precomputes, per parameter model, the neighborhood scope for
 // the allowed From carriers (nil for models without SiteScoper support,
-// which fall back to the predicate path).
+// which then cannot serve a Local engine).
 func (e *Engine) scopesFor(ids []lte.CarrierID) []learn.Scope {
 	scopes := make([]learn.Scope, len(e.models))
 	for pi, m := range e.models {
@@ -330,8 +330,6 @@ type itemState struct {
 	sp       *trace.Span
 	start    time.Time
 	scopes   []learn.Scope
-	scope    func(dataset.Site) bool
-	scoped   bool
 	firstJob int
 	numJobs  int
 	err      error
@@ -371,13 +369,6 @@ func putRecScratch(sc *recScratch) {
 	recScratchPool.Put(sc)
 }
 
-// rowAppender is the allocation-free encoding hook of a learn.CodesModel:
-// cf.Model implements it, letting the batch planner append each query
-// row's codes into a pooled arena instead of allocating per row.
-type rowAppender interface {
-	AppendEncodeRow(dst []int32, row []string) []int32
-}
-
 // recommendMany is the shared core of RecommendContext and RecommendBatch:
 // it plans every item's (parameter, neighbor) jobs, flattens them into one
 // worker-pool fan-out, and reassembles per-item results. Each job writes
@@ -401,8 +392,16 @@ func (e *Engine) recommendMany(ctx context.Context, items []BatchItem) []BatchRe
 	// the elements a batch used before resetting the lengths.
 	states := sc.states[:len(items)]
 	sc.states = states
-	sRowApp, _ := sRep.(rowAppender)
-	pRowApp, _ := pRep.(rowAppender)
+	// encode appends row's codes under rep into the pooled arena; nil when
+	// the models do not share one encoding.
+	encode := func(rep learn.CodesModel, row []string) []int32 {
+		if rep == nil {
+			return nil
+		}
+		cb := len(sc.codes)
+		sc.codes = rep.AppendEncodeRow(sc.codes, row)
+		return sc.codes[cb:len(sc.codes):len(sc.codes)]
+	}
 	jobs := sc.jobs[:0]
 	for ii := range items {
 		c := items[ii].Carrier
@@ -410,14 +409,7 @@ func (e *Engine) recommendMany(ctx context.Context, items []BatchItem) []BatchRe
 		st := &states[ii]
 		st.ctx, st.sp, st.start = ictx, sp, time.Now()
 		if e.opts.Local {
-			ids := e.scopeIDsFor(c)
-			st.scoped = true
-			st.scopes = e.scopesFor(ids)
-			allowed := make(map[lte.CarrierID]bool, len(ids))
-			for _, id := range ids {
-				allowed[id] = true
-			}
-			st.scope = func(s dataset.Site) bool { return allowed[s.From] }
+			st.scopes = e.scopesFor(e.scopeIDsFor(c))
 		}
 		// Attribute vectors and their encodings append into the pooled
 		// arenas; a grown arena leaves earlier vectors on the previous
@@ -425,16 +417,7 @@ func (e *Engine) recommendMany(ctx context.Context, items []BatchItem) []BatchRe
 		base := len(sc.attrs)
 		sc.attrs = c.AppendAttributeVector(sc.attrs)
 		attrs := sc.attrs[base:len(sc.attrs):len(sc.attrs)]
-		var sCodes []int32
-		if sRep != nil {
-			if sRowApp != nil {
-				cb := len(sc.codes)
-				sc.codes = sRowApp.AppendEncodeRow(sc.codes, attrs)
-				sCodes = sc.codes[cb:len(sc.codes):len(sc.codes)]
-			} else {
-				sCodes = sRep.EncodeRow(attrs)
-			}
-		}
+		sCodes := encode(sRep, attrs)
 		st.firstJob = len(jobs)
 		for _, pi := range singular {
 			jobs = append(jobs, recJob{ii, pi, attrs, sCodes, -1})
@@ -451,16 +434,7 @@ func (e *Engine) recommendMany(ctx context.Context, items []BatchItem) []BatchRe
 			sc.attrs = append(sc.attrs, attrs...)
 			sc.attrs = e.net.Carriers[nb].AppendAttributeVector(sc.attrs)
 			pairAttrs := sc.attrs[pb:len(sc.attrs):len(sc.attrs)]
-			var pCodes []int32
-			if pRep != nil {
-				if pRowApp != nil {
-					cb := len(sc.codes)
-					sc.codes = pRowApp.AppendEncodeRow(sc.codes, pairAttrs)
-					pCodes = sc.codes[cb:len(sc.codes):len(sc.codes)]
-				} else {
-					pCodes = pRep.EncodeRow(pairAttrs)
-				}
-			}
+			pCodes := encode(pRep, pairAttrs)
 			for _, pi := range pair {
 				jobs = append(jobs, recJob{ii, pi, pairAttrs, pCodes, nb})
 			}
@@ -469,7 +443,7 @@ func (e *Engine) recommendMany(ctx context.Context, items []BatchItem) []BatchRe
 		sp.SetInt("carrier", int64(c.ID))
 		sp.SetInt("neighbors", int64(len(items[ii].Neighbors)))
 		sp.SetInt("jobs", int64(st.numJobs))
-		sp.SetBool("scoped", st.scoped)
+		sp.SetBool("scoped", e.opts.Local)
 	}
 	sc.jobs = jobs
 	// out escapes into the returned results (each item's recommendations
@@ -488,10 +462,10 @@ func (e *Engine) recommendMany(ctx context.Context, items []BatchItem) []BatchRe
 		psp.SetStr("param", e.schema.At(j.pi).Name)
 		psp.SetInt("neighbor", int64(j.neighbor))
 		var sc learn.Scope
-		if st.scoped && st.scopes != nil {
+		if st.scopes != nil {
 			sc = st.scopes[j.pi]
 		}
-		rec, err := e.recommendOne(j.pi, j.attrs, j.codes, j.neighbor, sc, st.scope, st.scoped)
+		rec, err := e.recommendOne(j.pi, j.attrs, j.codes, j.neighbor, sc)
 		if err != nil {
 			psp.SetStr("error", err.Error())
 			psp.Finish()
@@ -555,31 +529,24 @@ func (e *Engine) recommendMany(ctx context.Context, items []BatchItem) []BatchRe
 	return results
 }
 
-// recommendOne predicts one parameter, applying geographic scoping when
-// configured and available. The fastest applicable path wins: pre-encoded
-// query codes (learn.CodesModel), then a precomputed neighborhood scope
-// (learn.SiteScoper), then the per-row predicate, then plain Predict.
-func (e *Engine) recommendOne(pi int, attrs []string, codes []int32, neighbor lte.CarrierID, sc learn.Scope, scope func(dataset.Site) bool, scoped bool) (Recommendation, error) {
+// recommendOne predicts one parameter. A learn.CodesModel answers from
+// the query codes (encoded here when the batch could not share them),
+// voting within sc when the engine is Local; any other model answers
+// through Predict and cannot serve a Local engine.
+func (e *Engine) recommendOne(pi int, attrs []string, codes []int32, neighbor lte.CarrierID, sc learn.Scope) (Recommendation, error) {
 	m := e.models[pi]
 	if m == nil {
 		return Recommendation{}, fmt.Errorf("core: no model for parameter %d", pi)
 	}
 	var p learn.Prediction
-	switch {
-	case scoped && sc != nil:
-		if codes != nil {
-			p = m.(learn.CodesModel).PredictCodes(codes, attrs, sc)
-		} else {
-			p = m.(learn.SiteScoper).PredictScope(attrs, sc)
+	switch cm, ok := m.(learn.CodesModel); {
+	case e.opts.Local && sc == nil:
+		return Recommendation{}, fmt.Errorf("core: learner %s cannot scope geographically", e.opts.Learner.Name())
+	case ok:
+		if codes == nil {
+			codes = cm.EncodeRow(attrs)
 		}
-	case scoped:
-		sm, ok := m.(learn.ScopedModel)
-		if !ok {
-			return Recommendation{}, fmt.Errorf("core: learner %s cannot scope geographically", e.opts.Learner.Name())
-		}
-		p = sm.PredictScoped(attrs, scope)
-	case codes != nil:
-		p = m.(learn.CodesModel).PredictCodes(codes, attrs, nil)
+		p = cm.PredictCodes(codes, attrs, sc)
 	default:
 		p = m.Predict(attrs)
 	}

@@ -114,8 +114,8 @@ func CrossValidate(t *dataset.Table, l learn.Learner, opts CVOptions, onMismatch
 // CrossValidateLocal measures the accuracy of a geographically scoped
 // learner: models fit exactly as in CrossValidate, but each prediction
 // votes only among training carriers within opts.Hops X2 hops of the test
-// carrier (Sec 3.3/4.2). The learner's models must implement
-// learn.ScopedModel.
+// carrier (Sec 3.3/4.2). Models that are not a learn.SiteScoper vote
+// network-wide, exactly as in CrossValidate.
 func CrossValidateLocal(t *dataset.Table, l learn.Learner, net *lte.Network, x2 *geo.Graph,
 	opts CVOptions, onMismatch func(Mismatch)) (Result, error) {
 
@@ -163,58 +163,46 @@ func CrossValidateLocal(t *dataset.Table, l learn.Learner, net *lte.Network, x2 
 		if err != nil {
 			return res, err
 		}
-		sm, okScoped := m.(learn.ScopedModel)
-		ss, okScoper := m.(learn.SiteScoper)
+		ss, scoped := m.(learn.SiteScoper)
 		lm, okLabel := m.(learn.LabelModel)
 		// A fold model trained on a Subset of t shares t's columnar base,
 		// so the table's stored codes are already the model's encoding —
 		// no per-prediction string re-encode.
-		cm, okCodes := m.(learn.CodesModel)
-		okCodes = okCodes && cm.EncodesTable(t)
+		fromTable := scoped && ss.EncodesTable(t)
 		// Folds are grouped by carrier, so a carrier's pair-wise test rows
 		// arrive together and share one precomputed scope per fold model.
 		scopeCache := make(map[lte.CarrierID]learn.Scope)
 		for _, i := range test {
-			var p learn.Prediction
+			r := row(i)
+			var label string
 			switch {
-			case okScoper:
+			case scoped:
 				self := t.Sites[i].From
 				sc, ok := scopeCache[self]
 				if !ok {
 					sc = ss.ScopeFrom(hood(self))
 					scopeCache[self] = sc
 				}
-				if okCodes {
-					for c := range codeBuf {
-						codeBuf[c] = t.Code(i, c)
+				codes := codeBuf[:0]
+				if fromTable {
+					for c := range r {
+						codes = append(codes, t.Code(i, c))
 					}
-					p = cm.PredictCodes(codeBuf, row(i), sc)
 				} else {
-					p = ss.PredictScope(row(i), sc)
+					codes = ss.AppendEncodeRow(codes, r)
 				}
-			case okScoped:
-				self := t.Sites[i].From
-				h := hood(self)
-				in := make(map[lte.CarrierID]bool, len(h))
-				for _, id := range h {
-					in[id] = true
-				}
-				p = sm.PredictScoped(row(i), func(s dataset.Site) bool {
-					return s.From != self && in[s.From]
-				})
-			default:
+				label = ss.PredictCodes(codes, r, sc).Label
+			case okLabel:
 				// Unscoped models (tree, forest, ...) score by label alone.
-				if okLabel {
-					p.Label = lm.PredictLabel(row(i))
-				} else {
-					p = m.Predict(row(i))
-				}
+				label = lm.PredictLabel(r)
+			default:
+				label = m.Predict(r).Label
 			}
 			res.Total++
-			if p.Label == t.Labels[i] {
+			if label == t.Labels[i] {
 				res.Correct++
 			} else if onMismatch != nil {
-				onMismatch(Mismatch{Param: t.Param, Site: t.Sites[i], Predicted: p.Label, Current: t.Labels[i]})
+				onMismatch(Mismatch{Param: t.Param, Site: t.Sites[i], Predicted: label, Current: t.Labels[i]})
 			}
 		}
 	}

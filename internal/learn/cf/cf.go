@@ -483,8 +483,8 @@ func appendCode(b []byte, c int32) []byte {
 }
 
 // Model is a fitted collaborative-filtering model. After Fit returns, a
-// Model is immutable: Predict, PredictScoped, PredictScope and
-// PredictWeighted only read the fitted state (the training table, the
+// Model is immutable: Predict, PredictCodes, PredictScoped, PredictScope
+// and PredictWeighted only read the fitted state (the training table, the
 // dependency ordering, the match index, the posting lists and the
 // value-share tables) and draw their working storage from a shared
 // sync.Pool, so one Model is safe for concurrent use by any number of
@@ -766,8 +766,8 @@ func (m *Model) scopeRows(sc learn.Scope) (rows []int32, scoped bool) {
 	return s.rows, true
 }
 
-// PredictScope implements learn.SiteScoper: a scoped prediction over a
-// precomputed Scope, byte-identical to PredictScoped with the equivalent
+// PredictScope is a scoped prediction over a precomputed Scope from the
+// string row, byte-identical to PredictScoped with the equivalent
 // predicate but with the neighborhood intersected as a sorted row list.
 func (m *Model) PredictScope(row []string, sc learn.Scope) learn.Prediction {
 	rows, scoped := m.scopeRows(sc)
@@ -782,9 +782,9 @@ func (m *Model) Predict(row []string) learn.Prediction {
 	return m.PredictWeighted(row, nil, nil)
 }
 
-// PredictScoped implements learn.ScopedModel: the voting population is
-// restricted to training samples whose site is allowed — the paper's
-// local learner uses the 1-hop X2 neighborhood (Sec 3.3).
+// PredictScoped is the predicate form of a scoped prediction: the voting
+// population is restricted to training samples whose site is allowed —
+// the paper's local learner uses the 1-hop X2 neighborhood (Sec 3.3).
 //
 // Local evidence is used only when it is decisive at a relaxation level at
 // least as specific as the one the network-wide vote would settle on:
@@ -799,11 +799,11 @@ func (m *Model) PredictScoped(row []string, allowed func(dataset.Site) bool) lea
 	return m.PredictWeighted(row, allowed, nil)
 }
 
-// PredictWeighted implements learn.WeightedModel: votes are weighted by
-// weight(site) — the Sec 6 service-performance feedback loop ("provide
-// higher weights to configuration changes that have improved service
-// performance in the past"). Weights <= 0 exclude a site; a nil weight
-// counts every site equally.
+// PredictWeighted is PredictScoped with votes weighted by weight(site) —
+// the Sec 6 service-performance feedback loop ("provide higher weights to
+// configuration changes that have improved service performance in the
+// past"). Weights <= 0 exclude a site; a nil weight counts every site
+// equally.
 func (m *Model) PredictWeighted(row []string, allowed func(dataset.Site) bool, weight func(dataset.Site) float64) learn.Prediction {
 	ps := predictScratchPool.Get().(*predictScratch)
 	defer putPredictScratch(ps)
