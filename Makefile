@@ -3,12 +3,13 @@
 # full test suite, and the same suite under the race detector — the
 # parallel train/recommend pipeline is only correct if the equivalence
 # tests hold with -race on, and the obs registry must be race-clean under
-# concurrent scrape + increment.
+# concurrent scrape + increment — plus the perfbench harness's own vet and
+# tests.
 GO ?= go
 
-.PHONY: check build vet fmt-check doc-audit test race bench bench-smoke bench-json bench-compare serve-smoke load-smoke fuzz-smoke
+.PHONY: check build vet fmt-check doc-audit test race perfbench-check bench bench-smoke bench-json bench-compare serve-smoke load-smoke fuzz-smoke
 
-check: build vet fmt-check doc-audit test race fuzz-smoke bench-smoke bench-compare serve-smoke load-smoke
+check: build vet fmt-check doc-audit test race perfbench-check fuzz-smoke bench-smoke bench-compare serve-smoke load-smoke
 
 build:
 	$(GO) build ./...
@@ -43,6 +44,14 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# perfbench-check vets and self-tests the end-to-end benchmark harness.
+# perfbench/ is its own module (it imports auric/internal/* through a
+# replace directive), so the root ./... patterns above never compile it;
+# without this target an internal API change could break the benchmark
+# with every other check green.
+perfbench-check:
+	cd perfbench && GOWORK=off GOPROXY=off $(GO) vet ./... && GOWORK=off GOPROXY=off $(GO) test ./...
 
 bench:
 	$(GO) test -run=NONE -bench=. -benchmem .

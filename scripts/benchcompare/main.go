@@ -23,7 +23,8 @@
 // percentage check. -max-regress 0 is report-only.
 //
 // -max-alloc-regress applies the same large-and-resolvable rule to
-// allocs/op (MAX_ALLOC_REGRESS in `make check`). Allocation counts are
+// allocs/op (MAX_ALLOC_REGRESS in `make check`); a gated metric whose
+// baseline is zero fails as soon as the new interval lies above zero. Allocation counts are
 // nearly deterministic — their spread is usually zero — so this gate can
 // sit much tighter than the timing one: it exists to catch a hot-path
 // change that quietly reintroduces per-request garbage even when ns/op
@@ -114,12 +115,11 @@ func compare(w io.Writer, oldF, newF *benchFile, maxRegress, maxAllocRegress flo
 			ov, nv := or[metric], nr[metric]
 			delta := "~"
 			if ov.Mean != 0 {
-				pct := (nv.Mean - ov.Mean) / ov.Mean * 100
-				delta = fmt.Sprintf("%+.1f%%", pct)
-				if regression(ov, nv, gateFor(metric, maxRegress, maxAllocRegress)) {
-					delta += " REGRESSION"
-					failed = true
-				}
+				delta = fmt.Sprintf("%+.1f%%", (nv.Mean-ov.Mean)/ov.Mean*100)
+			}
+			if regression(ov, nv, gateFor(metric, maxRegress, maxAllocRegress)) {
+				delta += " REGRESSION"
+				failed = true
 			}
 			fmt.Fprintf(w, "  %-52s %-10s %20s -> %-20s %s\n",
 				name, metric, formatStat(ov), formatStat(nv), delta)
@@ -134,10 +134,15 @@ func compare(w io.Writer, oldF, newF *benchFile, maxRegress, maxAllocRegress flo
 // regression reports whether new is a gate-tripping regression over old
 // for one metric: mean delta above gate percent and the two spread
 // intervals disjoint, so measurement noise wide enough to explain the
-// delta suppresses the failure.
+// delta suppresses the failure. A zero baseline (an allocation-free hot
+// path) has no relative delta: any rise whose interval clears zero trips
+// the gate.
 func regression(old, new stat, gate float64) bool {
-	if gate <= 0 || old.Mean == 0 {
+	if gate <= 0 {
 		return false
+	}
+	if old.Mean == 0 {
+		return new.Mean-new.Spread > 0
 	}
 	pct := (new.Mean - old.Mean) / old.Mean * 100
 	return pct > gate && new.Mean-new.Spread > old.Mean+old.Spread

@@ -54,6 +54,10 @@ func TestRegressionGate(t *testing.T) {
 			stat{Mean: 100, Spread: 5, N: 3}, stat{Mean: 200, Spread: 5, N: 3}, 50, true},
 		{"report-only mode never fails", stat{Mean: 100}, stat{Mean: 1000}, 0, false},
 		{"improvement never fails", stat{Mean: 200}, stat{Mean: 100}, 10, false},
+		{"zero baseline, new above zero", stat{}, stat{Mean: 1, N: 3}, 30, true},
+		{"zero baseline, new interval reaches zero", stat{}, stat{Mean: 1, Spread: 1, N: 3}, 30, false},
+		{"zero baseline stays zero", stat{N: 3}, stat{N: 3}, 30, false},
+		{"zero baseline, report-only", stat{}, stat{Mean: 5}, 0, false},
 	}
 	for _, c := range cases {
 		if got := regression(c.old, c.new, c.max); got != c.want {
@@ -113,6 +117,24 @@ func TestAllocRegressionGate(t *testing.T) {
 	out.Reset()
 	if failed := compare(&out, newF, oldF, 60, 30); failed {
 		t.Fatalf("alloc improvement failed the gate:\n%s", out.String())
+	}
+}
+
+// TestZeroAllocBaselineGated pins the gate on an allocation-free
+// benchmark: a zero allocs/op baseline that starts allocating fails.
+func TestZeroAllocBaselineGated(t *testing.T) {
+	oldF := bf(allocRun("BenchmarkHit-1", 300, 0), allocRun("BenchmarkHit-1", 310, 0))
+	newF := bf(allocRun("BenchmarkHit-1", 305, 1), allocRun("BenchmarkHit-1", 300, 1))
+	var out strings.Builder
+	if failed := compare(&out, oldF, newF, 60, 30); !failed {
+		t.Fatalf("compare did not fail when a 0 allocs/op baseline grew to 1:\n%s", out.String())
+	}
+	if !strings.Contains(out.String(), "REGRESSION") {
+		t.Errorf("report lacks a REGRESSION marker:\n%s", out.String())
+	}
+	out.Reset()
+	if failed := compare(&out, oldF, oldF, 60, 30); failed {
+		t.Fatalf("zero baseline against itself failed the gate:\n%s", out.String())
 	}
 }
 
