@@ -161,7 +161,6 @@ func main() {
 		workers   = flag.Int("workers", 0, "train/recommend worker pool size per shard (0 = all CPUs)")
 		chunk     = flag.Int("stream-chunk", 0, "carriers per NDJSON flush chunk (0 = engine default)")
 		cacheSize = flag.Int("cache-entries", 4096, "recommendation sets memoized by the generation-keyed serving cache; reload and ingest start it cold (0 disables)")
-		cacheOff  = flag.Bool("cache-off", false, "disable the recommendation memo cache regardless of -cache-entries")
 		pprofOn   = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
 		accessLog = flag.Bool("access-log", true, "log one structured line per request")
 
@@ -187,9 +186,6 @@ func main() {
 	flag.Parse()
 
 	s := &server{newRNG: rng.New(*seed ^ 0xd), streamChunk: *chunk, workers: *workers, cacheEntries: *cacheSize}
-	if *cacheOff {
-		s.cacheEntries = 0
-	}
 	// The tracker exists before restore so the initial Load lands as its
 	// baseline; restore binds it to the engine it bootstraps.
 	s.health = health.New(obs.Default(), health.Config{
