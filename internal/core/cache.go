@@ -38,7 +38,7 @@ var (
 	cacheEvictionsTotal = obs.Default().Counter("auric_cache_evictions_total",
 		"Cache entries evicted by the per-shard LRU capacity.")
 	cacheSharedTotal = obs.Default().Counter("auric_cache_singleflight_shared_total",
-		"Requests that joined another request's in-flight computation instead of computing (singleflight collapse).")
+		"Requests or batch items that joined an identical in-flight computation instead of computing (singleflight collapse).")
 	cacheInvalidationsTotal = obs.Default().Counter("auric_cache_invalidations_total",
 		"Wholesale cache resets caused by a generation swap (reload or live ingest).")
 	cacheEntriesGauge = obs.Default().Gauge("auric_cache_entries",
