@@ -65,6 +65,7 @@ type recCache struct {
 }
 
 type flight struct {
+	key  string
 	done chan struct{}
 	recs []Recommendation
 	err  error
@@ -174,22 +175,13 @@ func appendKeyStr(b []byte, s string) []byte {
 // when an entry is actually stored).
 var keyBufs = sync.Pool{New: func() any { b := make([]byte, 0, 160); return &b }}
 
-// keyHash is FNV-1a over the key bytes, used only to pick a shard.
-// keyHashStr is the same function over a string key; the two must stay
-// identical so get (byte view) and put (stored string) agree on shards.
-func keyHash(b []byte) uint64 {
+// keyHash is FNV-1a over the key bytes, used only to pick a shard. get
+// hashes the pooled byte view and put the stored string, so both forms
+// go through this one function.
+func keyHash[K []byte | string](k K) uint64 {
 	h := uint64(14695981039346656037)
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= 1099511628211
-	}
-	return h
-}
-
-func keyHashStr(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
+	for i := 0; i < len(k); i++ {
+		h ^= uint64(k[i])
 		h *= 1099511628211
 	}
 	return h
@@ -219,7 +211,7 @@ func (rc *recCache) get(key []byte) ([]Recommendation, bool) {
 // put stores a computed recommendation set, evicting the shard's least
 // recently used entry when at capacity.
 func (rc *recCache) put(key string, recs []Recommendation) {
-	s := &rc.shards[keyHashStr(key)%cacheShardCount]
+	s := &rc.shards[keyHash(key)%cacheShardCount]
 	s.mu.Lock()
 	if e, ok := s.m[key]; ok {
 		e.recs = recs
@@ -275,7 +267,7 @@ func (rc *recCache) join(key string) (f *flight, lead bool) {
 	if f, ok := rc.flights[key]; ok {
 		return f, false
 	}
-	f = &flight{done: make(chan struct{})}
+	f = &flight{key: key, done: make(chan struct{})}
 	rc.flights[key] = f
 	return f, true
 }
@@ -284,13 +276,13 @@ func (rc *recCache) join(key string) (f *flight, lead bool) {
 // are), then the key leaves the flight map before followers are released,
 // so a request arriving after the close finds the cached entry instead of
 // a spent flight.
-func (rc *recCache) settle(key string, f *flight, recs []Recommendation, err error) {
+func (rc *recCache) settle(f *flight, recs []Recommendation, err error) {
 	if err == nil {
-		rc.put(key, recs)
+		rc.put(f.key, recs)
 	}
 	f.recs, f.err = recs, err
 	rc.flightMu.Lock()
-	delete(rc.flights, key)
+	delete(rc.flights, f.key)
 	rc.flightMu.Unlock()
 	close(f.done)
 }

@@ -341,7 +341,6 @@ type planSlot struct {
 	chunk *streamChunk // the chunk computing this item
 	lead  *flight      // the flight this item leads, settled by its chunk
 	wait  *flight      // another computation's flight this item joined
-	key   string
 }
 
 // streamChunk is one market's run of at most chunk computing items,
@@ -366,8 +365,7 @@ func (se *ShardedEngine) plan(ctx context.Context, st *shardState, items []Batch
 			continue
 		}
 		if p.rc != nil {
-			s.key = string(*kb)
-			f, lead := p.rc.join(s.key)
+			f, lead := p.rc.join(string(*kb))
 			if !lead {
 				s.wait = f
 				continue
@@ -378,7 +376,7 @@ func (se *ShardedEngine) plan(ctx context.Context, st *shardState, items []Batch
 			// computation" exact rather than approximate.
 			if recs, ok := p.rc.get(*kb); ok {
 				p.rc.countHit()
-				p.rc.settle(s.key, f, recs, nil)
+				p.rc.settle(f, recs, nil)
 				s.res.Recommendations = recs
 				continue
 			}
@@ -428,7 +426,7 @@ func (p *streamPlan) run(c *streamChunk) {
 		}
 		if s.lead != nil {
 			p.rc.countMiss()
-			p.rc.settle(s.key, s.lead, s.res.Recommendations, s.res.Err)
+			p.rc.settle(s.lead, s.res.Recommendations, s.res.Err)
 		}
 	}
 }

@@ -75,40 +75,7 @@ type Mismatch struct {
 // k-fold cross-validation. When onMismatch is non-nil it receives every
 // disagreement.
 func CrossValidate(t *dataset.Table, l learn.Learner, opts CVOptions, onMismatch func(Mismatch)) (Result, error) {
-	opts = opts.withDefaults()
-	if opts.MaxSamples > 0 {
-		t = t.Sample(opts.MaxSamples, opts.Seed)
-	}
-	var res Result
-	folds, ok := safeFolds(t, opts)
-	if !ok {
-		return res, nil // too few carriers to validate
-	}
-	for f := range folds {
-		train, test := dataset.TrainTest(folds, f)
-		m, err := l.Fit(t.Subset(train))
-		if err != nil {
-			return res, err
-		}
-		// Scoring consumes only the label, so models exposing the
-		// explanation-free fast path skip the Prediction assembly.
-		lm, okLabel := m.(learn.LabelModel)
-		for _, i := range test {
-			var label string
-			if okLabel {
-				label = lm.PredictLabel(t.Row(i))
-			} else {
-				label = m.Predict(t.Row(i)).Label
-			}
-			res.Total++
-			if label == t.Labels[i] {
-				res.Correct++
-			} else if onMismatch != nil {
-				onMismatch(Mismatch{Param: t.Param, Site: t.Sites[i], Predicted: label, Current: t.Labels[i]})
-			}
-		}
-	}
-	return res, nil
+	return crossValidate(t, l, nil, nil, opts, onMismatch)
 }
 
 // CrossValidateLocal measures the accuracy of a geographically scoped
@@ -118,6 +85,13 @@ func CrossValidate(t *dataset.Table, l learn.Learner, opts CVOptions, onMismatch
 // network-wide, exactly as in CrossValidate.
 func CrossValidateLocal(t *dataset.Table, l learn.Learner, net *lte.Network, x2 *geo.Graph,
 	opts CVOptions, onMismatch func(Mismatch)) (Result, error) {
+	return crossValidate(t, l, net, x2, opts, onMismatch)
+}
+
+// crossValidate is CrossValidate, scoped to the X2 neighborhood when x2
+// is non-nil. Every test row makes one predict call.
+func crossValidate(t *dataset.Table, l learn.Learner, net *lte.Network, x2 *geo.Graph,
+	opts CVOptions, onMismatch func(Mismatch)) (Result, error) {
 
 	opts = opts.withDefaults()
 	if opts.MaxSamples > 0 {
@@ -126,7 +100,7 @@ func CrossValidateLocal(t *dataset.Table, l learn.Learner, net *lte.Network, x2 
 	var res Result
 	folds, ok := safeFolds(t, opts)
 	if !ok {
-		return res, nil
+		return res, nil // too few carriers to validate
 	}
 	// Neighborhood id lists (self excluded) are reused across folds and
 	// parameters; compute lazily per test carrier.
@@ -146,17 +120,10 @@ func CrossValidateLocal(t *dataset.Table, l learn.Learner, net *lte.Network, x2 
 		return h
 	}
 	// Per-prediction scratch: learners consume the query row within the
-	// Predict call, so one row buffer (and one code buffer for models
-	// that accept the table's interned codes directly) serves every test
-	// row.
+	// predict call, so one row buffer and one code buffer serve every
+	// test row.
 	rowBuf := make([]string, t.NumCols())
 	codeBuf := make([]int32, t.NumCols())
-	row := func(i int) []string {
-		for c := range rowBuf {
-			rowBuf[c] = t.At(i, c)
-		}
-		return rowBuf
-	}
 	for f := range folds {
 		train, test := dataset.TrainTest(folds, f)
 		m, err := l.Fit(t.Subset(train))
@@ -164,6 +131,9 @@ func CrossValidateLocal(t *dataset.Table, l learn.Learner, net *lte.Network, x2 
 			return res, err
 		}
 		ss, scoped := m.(learn.SiteScoper)
+		scoped = scoped && x2 != nil
+		// Scoring consumes only the label, so unscoped models exposing the
+		// explanation-free fast path skip the Prediction assembly.
 		lm, okLabel := m.(learn.LabelModel)
 		// A fold model trained on a Subset of t shares t's columnar base,
 		// so the table's stored codes are already the model's encoding —
@@ -173,7 +143,10 @@ func CrossValidateLocal(t *dataset.Table, l learn.Learner, net *lte.Network, x2 
 		// arrive together and share one precomputed scope per fold model.
 		scopeCache := make(map[lte.CarrierID]learn.Scope)
 		for _, i := range test {
-			r := row(i)
+			row := rowBuf
+			for c := range row {
+				row[c] = t.At(i, c)
+			}
 			var label string
 			switch {
 			case scoped:
@@ -185,18 +158,17 @@ func CrossValidateLocal(t *dataset.Table, l learn.Learner, net *lte.Network, x2 
 				}
 				codes := codeBuf[:0]
 				if fromTable {
-					for c := range r {
+					for c := range row {
 						codes = append(codes, t.Code(i, c))
 					}
 				} else {
-					codes = ss.AppendEncodeRow(codes, r)
+					codes = ss.AppendEncodeRow(codes, row)
 				}
-				label = ss.PredictCodes(codes, r, sc).Label
+				label = ss.PredictCodes(codes, row, sc).Label
 			case okLabel:
-				// Unscoped models (tree, forest, ...) score by label alone.
-				label = lm.PredictLabel(r)
+				label = lm.PredictLabel(row)
 			default:
-				label = m.Predict(r).Label
+				label = m.Predict(row).Label
 			}
 			res.Total++
 			if label == t.Labels[i] {
