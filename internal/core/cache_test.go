@@ -169,6 +169,116 @@ func TestCacheSingleflightCollapse(t *testing.T) {
 	}
 }
 
+// TestCacheSingleflightAcrossPaths races single, batch and stream
+// requests over the same cold keys: every entry point joins the others'
+// in-flight computations, so each distinct key computes exactly once and
+// every answer matches the uncached engine.
+func TestCacheSingleflightAcrossPaths(t *testing.T) {
+	w, cached, plain := cachedPair(t, 2, 1024)
+	var items []BatchItem
+	for id := 0; id < 6; id++ {
+		items = append(items, BatchItem{Carrier: &w.Net.Carriers[id], Neighbors: w.X2.CarrierNeighbors(lte.CarrierID(id))})
+	}
+	want, err := plain.RecommendBatch(context.Background(), items)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const rounds = 4
+	var (
+		start  = make(chan struct{})
+		wg     sync.WaitGroup
+		served atomic.Int64
+	)
+	check := func(i int, res BatchResult) {
+		served.Add(1)
+		if res.Err != nil {
+			t.Errorf("item %d: %v", i, res.Err)
+		} else if !reflect.DeepEqual(res.Recommendations, want[i].Recommendations) {
+			t.Errorf("item %d differs from the uncached engine", i)
+		}
+	}
+	for r := 0; r < rounds; r++ {
+		wg.Add(3)
+		go func() {
+			defer wg.Done()
+			<-start
+			for i, it := range items {
+				var res BatchResult
+				res.Recommendations, res.Err = cached.Recommend(it.Carrier, it.Neighbors)
+				check(i, res)
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			<-start
+			res, err := cached.RecommendBatch(context.Background(), items)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			for i := range res {
+				check(i, res[i])
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			<-start
+			if err := cached.RecommendStream(context.Background(), items, 2, check); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+
+	st := cached.CacheStats()
+	if st.Misses != uint64(len(items)) {
+		t.Errorf("misses = %d, want exactly one computation per each of %d keys", st.Misses, len(items))
+	}
+	if total := st.Hits + st.Misses + st.SingleflightShared; total != uint64(served.Load()) {
+		t.Errorf("hits+misses+shared = %d, want one per served item (%d)", total, served.Load())
+	}
+}
+
+// TestCacheFollowerRecomputesAfterLeaderFailure holds a key's flight as a
+// stand-in leader, lets a stream join it, then fails the flight: the
+// follower must compute its own answer rather than inherit the error.
+// The stream's first item emits only after planning joined the second
+// item to the flight, so settling from that emit is deterministic.
+func TestCacheFollowerRecomputesAfterLeaderFailure(t *testing.T) {
+	w, cached, plain := cachedPair(t, 1, 1024)
+	first, joined := &w.Net.Carriers[0], &w.Net.Carriers[1]
+	want, err := plain.Recommend(joined, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, lead := cached.cache.join(string(appendCacheKey(nil, cached.Generation(), joined, nil)))
+	if !lead {
+		t.Fatal("cold cache already had a flight for the key")
+	}
+	var got BatchResult
+	err = cached.RecommendStream(context.Background(), []BatchItem{{Carrier: first}, {Carrier: joined}}, 1, func(i int, res BatchResult) {
+		if i == 0 {
+			cached.cache.settle(f, nil, context.Canceled)
+			return
+		}
+		got = res
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Err != nil {
+		t.Fatalf("follower inherited its leader's failure: %v", got.Err)
+	}
+	if !reflect.DeepEqual(got.Recommendations, want) {
+		t.Error("follower's recomputed answer differs from the uncached engine")
+	}
+	if st := cached.CacheStats(); st.Misses != 2 || st.SingleflightShared != 0 {
+		t.Errorf("misses = %d, shared = %d; want 2 computations and no shared result", st.Misses, st.SingleflightShared)
+	}
+}
+
 // TestCacheIngestInvalidation warms an answer, then applies a delta that
 // changes the evidence behind it (a swarm of attribute-identical clones
 // voting a different value for one singular parameter). The post-apply
