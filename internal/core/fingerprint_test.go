@@ -210,9 +210,8 @@ type countingObserver struct {
 	served map[lte.CarrierID]int
 }
 
-func (o *countingObserver) ObserveLoad(int64, *lte.Network, *geo.Graph, *lte.Config) {}
-func (o *countingObserver) ObserveApply(int64, *lte.Network, []lte.CarrierID, []lte.CarrierID) {
-}
+func (o *countingObserver) ObserveLoad(int64, *lte.Network, *geo.Graph, *lte.Config)           {}
+func (o *countingObserver) ObserveApply(int64, *lte.Network, []lte.CarrierID, []lte.CarrierID) {}
 
 func (o *countingObserver) ObserveServed(_ int, c *lte.Carrier, _ []Recommendation) {
 	o.mu.Lock()
