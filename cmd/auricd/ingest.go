@@ -13,7 +13,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log"
 	"net/http"
 	"os"
@@ -200,27 +199,8 @@ type ingestEntry struct {
 // the client sees every bad slot at once. The mutation is journaled after
 // it applies and acknowledged only once it is on disk.
 func (s *server) handleIngest(rw http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(r.Body)
-	if err != nil {
-		writeError(rw, http.StatusBadRequest, "bad request: "+err.Error())
-		return
-	}
-	var items []ingestItem
-	if isJSONArray(body) {
-		if err := json.Unmarshal(body, &items); err != nil {
-			writeError(rw, http.StatusBadRequest, "bad request: "+err.Error())
-			return
-		}
-	} else {
-		var it ingestItem
-		if err := json.Unmarshal(body, &it); err != nil {
-			writeError(rw, http.StatusBadRequest, "bad request: "+err.Error())
-			return
-		}
-		items = []ingestItem{it}
-	}
-	if len(items) == 0 {
-		writeError(rw, http.StatusBadRequest, "empty batch")
+	items, _, ok := decodeOneOrMany[ingestItem](rw, r)
+	if !ok {
 		return
 	}
 

@@ -213,6 +213,27 @@ func TestIngestValidationErrors(t *testing.T) {
 	}
 }
 
+// TestIngestBodyTooLarge pins the request size limit on the ingest route:
+// a body over maxBodyBytes answers a JSON 413 and applies nothing.
+func TestIngestBodyTooLarge(t *testing.T) {
+	s := liveServer(t, "")
+	gen0 := s.engine.Generation()
+	b, err := json.Marshal(donorItem(s.world.Net, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := postIngest(t, s, string(b)+strings.Repeat(" ", maxBodyBytes))
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("status %d, want 413: %.200s", rec.Code, rec.Body)
+	}
+	if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
+		t.Errorf("content type %q, want application/json", ct)
+	}
+	if g := s.engine.Generation(); g != gen0 {
+		t.Errorf("oversized ingest moved the generation from %d to %d", gen0, g)
+	}
+}
+
 // TestJournalReplayAfterCrash is the durability round trip: ingest, crash
 // without compacting (plus a torn final write), restart from the same
 // journal, and land in an identical serving state — same inventory, same
