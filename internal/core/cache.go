@@ -240,7 +240,8 @@ func (rc *recCache) put(key string, recs []Recommendation) {
 
 // reset drops every entry; the generation swap that triggered it already
 // retired the keys (the generation is part of them), this reclaims their
-// memory immediately so patched models start cold and compact.
+// memory once the retired generation has drained, so patched models start
+// cold and compact.
 func (rc *recCache) reset() {
 	if rc == nil {
 		return

@@ -14,7 +14,10 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
+	"auric/internal/dataset"
+	"auric/internal/learn"
 	"auric/internal/lte"
 	"auric/internal/netsim"
 )
@@ -276,6 +279,68 @@ func TestCacheFollowerRecomputesAfterLeaderFailure(t *testing.T) {
 	}
 	if st := cached.CacheStats(); st.Misses != 2 || st.SingleflightShared != 0 {
 		t.Errorf("misses = %d, shared = %d; want 2 computations and no shared result", st.Misses, st.SingleflightShared)
+	}
+}
+
+// gateLearner fits models whose predictions block until gate closes, so a
+// test can hold a request in flight; each prediction first signals
+// entered (without blocking when nobody listens).
+type gateLearner struct{ gate, entered chan struct{} }
+
+type gateModel gateLearner
+
+func (l gateLearner) Name() string { return "gate" }
+func (l gateLearner) Fit(*dataset.Table) (learn.Model, error) {
+	return gateModel(l), nil
+}
+func (m gateModel) Predict([]string) learn.Prediction {
+	select {
+	case m.entered <- struct{}{}:
+	default:
+	}
+	<-m.gate
+	return learn.Prediction{Label: "1", Confidence: 1, Explanation: "gate"}
+}
+
+// TestCacheNoStaleEntryAfterSwap holds a request on generation 1 while
+// Load installs generation 2, and releases it only after the swap. The
+// request's answer is stored under generation 1's key, which can never
+// hit again; the cache must not keep it once Load has returned.
+func TestCacheNoStaleEntryAfterSwap(t *testing.T) {
+	w := netsim.Generate(netsim.Options{Seed: 5, Markets: 1, ENodeBsPerMarket: 6})
+	gl := gateLearner{gate: make(chan struct{}), entered: make(chan struct{}, 1)}
+	se := NewSharded(w.Schema, Options{Workers: 1, CacheEntries: 64, Learner: gl})
+	if _, err := se.Load(w.Net, w.X2, w.Current); err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() {
+		_, err := se.Recommend(&w.Net.Carriers[0], nil)
+		served <- err
+	}()
+	<-gl.entered // the request is computing on generation 1
+	loaded := make(chan error, 1)
+	go func() {
+		_, err := se.Load(w.Net, w.X2, w.Current)
+		loaded <- err
+	}()
+	for se.Generation() < 2 {
+		time.Sleep(time.Millisecond)
+	}
+	// Let a reset that runs before the drain happen first, so the held
+	// request's answer lands after it.
+	for deadline := time.Now().Add(100 * time.Millisecond); se.CacheStats().Invalidations < 2 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	close(gl.gate)
+	if err := <-served; err != nil {
+		t.Fatal(err)
+	}
+	if err := <-loaded; err != nil {
+		t.Fatal(err)
+	}
+	if st := se.CacheStats(); st.Entries != 0 {
+		t.Errorf("cache holds %d entries after Load returned, want 0 (a retired generation's answer)", st.Entries)
 	}
 }
 

@@ -118,8 +118,7 @@ func (se *ShardedEngine) Load(net *lte.Network, x2 *geo.Graph, cfg *lte.Config) 
 	se.loadMu.Lock()
 	defer se.loadMu.Unlock()
 	defer obs.Since(shardLoadSeconds, time.Now())
-	st := &shardState{gen: se.gen.Load() + 1, net: net, x2: x2, cfg: cfg, drained: make(chan struct{})}
-	st.refs.Store(1)
+	st := &shardState{gen: se.gen.Load() + 1, net: net, x2: x2, cfg: cfg}
 	st.shards = make([]*Engine, len(net.Markets))
 	carriers := make([]int, len(net.Markets))
 	for i := range net.Carriers {
@@ -147,22 +146,37 @@ func (se *ShardedEngine) Load(net *lte.Network, x2 *geo.Graph, cfg *lte.Config) 
 	if trained == 0 {
 		return 0, fmt.Errorf("core: snapshot has no carriers in any of its %d markets", len(net.Markets))
 	}
+	se.install(st)
+	if o := se.observer(); o != nil {
+		o.ObserveLoad(st.gen, net, x2, cfg)
+	}
+	return st.gen, nil
+}
+
+// install publishes st as the serving generation and returns once the
+// generation it replaced has drained; Load and Apply both swap through it,
+// holding loadMu. The cache resets after the drain: a request still in
+// flight on the retired generation stores its answer under that
+// generation's key until then, and such an entry can never hit again.
+func (se *ShardedEngine) install(st *shardState) {
+	trained := 0
+	for _, e := range st.shards {
+		if e != nil {
+			trained++
+		}
+	}
+	st.drained = make(chan struct{})
+	st.refs.Store(1)
 	se.gen.Store(st.gen)
 	old := se.state.Swap(st)
 	shardSwapsTotal.Inc()
 	shardGeneration.Set(float64(st.gen))
 	shardCount.Set(float64(trained))
-	// The new generation is part of every cache key, so stale entries can
-	// never hit; the reset just reclaims their memory immediately.
-	se.cache.reset()
 	if old != nil {
 		old.release() // drop the installed reference; in-flight requests hold theirs
 		<-old.drained
 	}
-	if o := se.observer(); o != nil {
-		o.ObserveLoad(st.gen, net, x2, cfg)
-	}
-	return st.gen, nil
+	se.cache.reset()
 }
 
 // acquire pins the current serving generation. The retry loop closes the
