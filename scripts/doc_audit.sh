@@ -1,7 +1,8 @@
 #!/bin/sh
 # doc-audit (flags + routes + metrics): every auricd command-line flag,
 # HTTP route, and registered auric_* metric must be documented in
-# OPERATIONS.md. The flag and route lists are extracted from
+# OPERATIONS.md, and every row of its Flags table must name a registered
+# flag. The flag and route lists are extracted from
 # cmd/auricd/main.go, the metric list from every non-test Go source in
 # the repo — the registration calls are the single source of truth — so
 # adding a flag, route, or metric without touching the runbook fails
@@ -18,6 +19,15 @@ flags=$(sed -n 's/.*flag\.[A-Za-z0-9]*("\([^"]*\)".*/\1/p' "$src" | sort -u)
 for f in $flags; do
     grep -q -- "-$f" "$ops" || {
         echo "doc-audit: auricd flag -$f is not documented in $ops"; fail=1; }
+done
+
+# And the reverse: every | `-flag` | row of the $ops Flags table must be
+# a flag auricd registers, so a removed flag cannot leave its row behind.
+docflags=$(sed -n '/^## Flags/,/^## /s/^| `-\([^`]*\)`.*/\1/p' "$ops" | sort -u)
+[ -n "$docflags" ] || { echo "doc-audit: extracted no flag rows from $ops (extraction broken?)"; exit 1; }
+for f in $docflags; do
+    echo "$flags" | grep -qxF -- "$f" || {
+        echo "doc-audit: $ops documents flag -$f, which auricd does not register"; fail=1; }
 done
 
 # Routes: every route(...)/handle(...) registration plus the direct
@@ -47,6 +57,7 @@ done
 
 [ "$fail" -eq 0 ] || exit 1
 nflags=$(echo "$flags" | wc -l | tr -d ' ')
+ndocflags=$(echo "$docflags" | wc -l | tr -d ' ')
 nroutes=$(echo "$routes" | wc -l | tr -d ' ')
 nmetrics=$(echo "$metrics" | wc -l | tr -d ' ')
-echo "doc-audit: every auricd flag ($nflags), route ($nroutes), and auric_* metric ($nmetrics) documented in $ops"
+echo "doc-audit: every auricd flag ($nflags), route ($nroutes), and auric_* metric ($nmetrics) documented in $ops; its $ndocflags flag rows all registered"
