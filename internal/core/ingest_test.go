@@ -5,8 +5,9 @@ package core
 // recommend byte-identically to a sharded engine freshly loaded over the
 // same surviving inventory. TestIngestEquivalence drives randomized deltas
 // and pins every Recommendation field (Diag-derived evidence included)
-// against that reference; TestIngestHotApply races serving traffic against
-// the apply path under the race detector.
+// against that reference, FuzzIngestEquivalence searches delta sequences
+// for a counterexample, and TestIngestHotApply races serving traffic
+// against the apply path under the race detector.
 
 import (
 	"context"
@@ -102,15 +103,64 @@ func referenceEngine(t *testing.T, se *ShardedEngine, opts Options) *ShardedEngi
 // live carriers across every market, pair-wise parameters included.
 func TestIngestEquivalence(t *testing.T) {
 	w := netsim.Generate(netsim.Options{Seed: 17, Markets: 3, ENodeBsPerMarket: 8})
+	totalPatched, totalRefit := checkIngestEquivalence(t, w, 5, rng.New(9090))
+	if totalPatched == 0 {
+		t.Fatal("no model took the in-place patch path")
+	}
+	t.Logf("ingest: %d models patched in place, %d structural refits", totalPatched, totalRefit)
+}
+
+// FuzzIngestEquivalence decodes the delta choices of TestIngestEquivalence
+// from the fuzz input: how many tombstones, fresh donor clones and
+// in-place replacements each step applies, and the carrier index of each.
+// Every input must leave the patched engine answering exactly like a fresh
+// load over the surviving inventory.
+func FuzzIngestEquivalence(f *testing.F) {
+	w := netsim.Generate(netsim.Options{Seed: 17, Markets: 2, ENodeBsPerMarket: 6})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		in := byteChoices(data)
+		checkIngestEquivalence(t, w, 2, &in)
+	})
+}
+
+// deltaChoices supplies the choices of an ingest-equivalence run.
+type deltaChoices interface {
+	Intn(n int) int
+	Bool(p float64) bool
+}
+
+// byteChoices replays fuzz input as deltaChoices: Intn reads two bytes
+// (big-endian) modulo n and Bool one byte as a fraction of 256. An
+// exhausted input answers 0 and false.
+type byteChoices []byte
+
+func (b *byteChoices) next() int {
+	if len(*b) == 0 {
+		return 0
+	}
+	v := int((*b)[0])
+	*b = (*b)[1:]
+	return v
+}
+
+func (b *byteChoices) Intn(n int) int { return (b.next()<<8 | b.next()) % n }
+
+func (b *byteChoices) Bool(p float64) bool { return len(*b) > 0 && float64(b.next())/256 < p }
+
+// checkIngestEquivalence loads a Local sharded engine over w, then applies
+// steps deltas drawn from r. After every Apply it requires the
+// recommendations of every carrier the delta touched, plus nine drawn live
+// carriers, to be DeepEqual to a fresh reference load. It returns the
+// total models patched in place and refit.
+func checkIngestEquivalence(t *testing.T, w *netsim.World, steps int, r deltaChoices) (totalPatched, totalRefit int) {
+	t.Helper()
 	opts := Options{Local: true, Workers: 1}
 	se := NewSharded(w.Schema, opts)
 	if _, err := se.Load(w.Net, w.X2, w.Current); err != nil {
 		t.Fatal(err)
 	}
-	r := rng.New(9090)
-	totalPatched, totalRefit := 0, 0
 
-	for step := 0; step < 5; step++ {
+	for step := 0; step < steps; step++ {
 		net, cfg, _, _, err := se.SnapshotState()
 		if err != nil {
 			t.Fatal(err)
@@ -214,10 +264,7 @@ func TestIngestEquivalence(t *testing.T) {
 			}
 		}
 	}
-	if totalPatched == 0 {
-		t.Fatal("no model took the in-place patch path")
-	}
-	t.Logf("ingest: %d models patched in place, %d structural refits", totalPatched, totalRefit)
+	return totalPatched, totalRefit
 }
 
 // TestIngestValidation pins the per-delta error surface: every malformed
