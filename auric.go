@@ -84,7 +84,9 @@ type (
 	// CacheStats is a point-in-time reading of a ShardedEngine's
 	// generation-keyed recommendation cache (EngineOptions.CacheEntries).
 	CacheStats = core.CacheStats
-	// Learner is the pluggable dependency-model learner interface.
+	// Learner is the dependency-model learner interface that the learner
+	// comparisons cross-validate. Engines always fit collaborative
+	// filtering.
 	Learner = learn.Learner
 )
 
@@ -131,11 +133,11 @@ func SimulateNetwork(opts NetworkOptions) *World { return netsim.Generate(opts) 
 // defaults (28 markets).
 func DefaultNetworkOptions() NetworkOptions { return netsim.DefaultOptions() }
 
-// NewEngine creates a recommendation engine. The zero EngineOptions give
-// the paper's shipping configuration: the collaborative-filtering learner
-// with chi-square dependency selection and 75% voting support; set Local
-// to scope voting to the 1-hop X2 neighborhood (the configuration that
-// achieves the paper's headline accuracy).
+// NewEngine creates a recommendation engine. Every engine fits the paper's
+// shipping learner: collaborative filtering with chi-square dependency
+// selection and 75% voting support. Set Local to scope voting to the 1-hop
+// X2 neighborhood (the configuration that achieves the paper's headline
+// accuracy).
 func NewEngine(schema *Schema, opts EngineOptions) *Engine { return core.New(schema, opts) }
 
 // NewShardedEngine creates a sharded multi-market engine: one per-market

@@ -16,8 +16,6 @@ import (
 	"testing"
 	"time"
 
-	"auric/internal/dataset"
-	"auric/internal/learn"
 	"auric/internal/lte"
 	"auric/internal/netsim"
 )
@@ -282,34 +280,25 @@ func TestCacheFollowerRecomputesAfterLeaderFailure(t *testing.T) {
 	}
 }
 
-// gateLearner fits models whose predictions block until gate closes, so a
-// test can hold a request in flight; each prediction first signals
-// entered (without blocking when nobody listens).
-type gateLearner struct{ gate, entered chan struct{} }
-
-type gateModel gateLearner
-
-func (l gateLearner) Name() string { return "gate" }
-func (l gateLearner) Fit(*dataset.Table) (learn.Model, error) {
-	return gateModel(l), nil
-}
-func (m gateModel) Predict([]string) learn.Prediction {
-	select {
-	case m.entered <- struct{}{}:
-	default:
-	}
-	<-m.gate
-	return learn.Prediction{Label: "1", Confidence: 1, Explanation: "gate"}
-}
-
 // TestCacheNoStaleEntryAfterSwap holds a request on generation 1 while
 // Load installs generation 2, and releases it only after the swap. The
 // request's answer is stored under generation 1's key, which can never
 // hit again; the cache must not keep it once Load has returned.
 func TestCacheNoStaleEntryAfterSwap(t *testing.T) {
 	w := netsim.Generate(netsim.Options{Seed: 5, Markets: 1, ENodeBsPerMarket: 6})
-	gl := gateLearner{gate: make(chan struct{}), entered: make(chan struct{}, 1)}
-	se := NewSharded(w.Schema, Options{Workers: 1, CacheEntries: 64, Learner: gl})
+	gate, entered := make(chan struct{}), make(chan struct{}, 1)
+	opts := Options{Workers: 1, CacheEntries: 64}
+	// Every prediction blocks until gate closes, so the test can hold a
+	// request in flight; it first signals entered (without blocking when
+	// nobody listens).
+	opts.beforePredict = func() {
+		select {
+		case entered <- struct{}{}:
+		default:
+		}
+		<-gate
+	}
+	se := NewSharded(w.Schema, opts)
 	if _, err := se.Load(w.Net, w.X2, w.Current); err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +307,7 @@ func TestCacheNoStaleEntryAfterSwap(t *testing.T) {
 		_, err := se.Recommend(&w.Net.Carriers[0], nil)
 		served <- err
 	}()
-	<-gl.entered // the request is computing on generation 1
+	<-entered // the request is computing on generation 1
 	loaded := make(chan error, 1)
 	go func() {
 		_, err := se.Load(w.Net, w.X2, w.Current)
@@ -332,7 +321,7 @@ func TestCacheNoStaleEntryAfterSwap(t *testing.T) {
 	for deadline := time.Now().Add(100 * time.Millisecond); se.CacheStats().Invalidations < 2 && time.Now().Before(deadline); {
 		time.Sleep(time.Millisecond)
 	}
-	close(gl.gate)
+	close(gate)
 	if err := <-served; err != nil {
 		t.Fatal(err)
 	}

@@ -50,14 +50,12 @@ var (
 		"Seconds predicting one (parameter, neighbor) job inside the Recommend worker pool.", obs.DefBuckets)
 )
 
-// Options configure an engine.
+// Options configure an engine. Every engine fits one collaborative-
+// filtering model per parameter with the paper's settings (cf.Fit); the
+// other learners of Table 4 are baselines for internal/eval only.
 type Options struct {
-	// Learner builds the per-parameter models; nil means collaborative
-	// filtering with the paper's settings, the learner Auric ships with.
-	Learner learn.Learner
 	// Local enables geographic scoping: recommendations vote only among
-	// carriers within Hops X2 hops of the new carrier. Requires the
-	// learner's models to implement learn.SiteScoper (CF does).
+	// carriers within Hops X2 hops of the new carrier.
 	Local bool
 	// Hops is the scoping radius; zero means 1 (the paper's setting).
 	Hops int
@@ -88,6 +86,10 @@ type Options struct {
 	// graph was originally built with; the zero value is the geo package's
 	// defaults, which is what cmd/auricd and netsim use.
 	X2 geo.Options
+
+	// beforePredict, when non-nil, runs at the start of every job of the
+	// recommendMany fan-out. Tests use it to hold or count predictions.
+	beforePredict func()
 }
 
 // Engine learns and serves configuration recommendations.
@@ -97,14 +99,11 @@ type Engine struct {
 
 	net    *lte.Network
 	x2     *geo.Graph
-	models []learn.Model // indexed by schema index; nil before Train
+	models []*cf.Model // indexed by schema index; nil before Train
 }
 
 // New creates an engine over the given schema.
 func New(schema *paramspec.Schema, opts Options) *Engine {
-	if opts.Learner == nil {
-		opts.Learner = cf.New()
-	}
 	if opts.Hops <= 0 {
 		opts.Hops = 1
 	}
@@ -113,9 +112,6 @@ func New(schema *paramspec.Schema, opts Options) *Engine {
 
 // Schema returns the engine's parameter schema.
 func (e *Engine) Schema() *paramspec.Schema { return e.schema }
-
-// LearnerName reports the configured learner.
-func (e *Engine) LearnerName() string { return e.opts.Learner.Name() }
 
 // Train fits one dependency model per configuration parameter from the
 // network's current configuration. It must be called before Recommend.
@@ -135,7 +131,7 @@ func (e *Engine) Train(net *lte.Network, x2 *geo.Graph, cfg *lte.Config) error {
 		}
 	}
 	b := dataset.NewBuilder(net, x2, keep)
-	models := make([]learn.Model, e.schema.Len())
+	models := make([]*cf.Model, e.schema.Len())
 	err := pool.ForEachNTimed(e.opts.Workers, e.schema.Len(), trainParamSeconds, func(pi int) error {
 		t := b.Labeled(cfg, pi)
 		if e.opts.MaxSamples > 0 {
@@ -144,7 +140,7 @@ func (e *Engine) Train(net *lte.Network, x2 *geo.Graph, cfg *lte.Config) error {
 		if t.Len() == 0 {
 			return fmt.Errorf("core: no training samples for %s", e.schema.At(pi).Name)
 		}
-		m, err := e.opts.Learner.Fit(t)
+		m, err := cf.Fit(t, cf.Options{})
 		if err != nil {
 			return fmt.Errorf("core: fitting %s: %w", e.schema.At(pi).Name, err)
 		}
@@ -158,7 +154,10 @@ func (e *Engine) Train(net *lte.Network, x2 *geo.Graph, cfg *lte.Config) error {
 	return nil
 }
 
-// Model returns the fitted model of one parameter (nil before Train).
+// Model returns the fitted model of one parameter (nil before Train). The
+// result stays the learn.Model interface, not *cf.Model: the perfbench
+// harness type-asserts it to learn.CodesModel and learn.SiteScoper, and a
+// type assertion does not compile on a concrete type.
 func (e *Engine) Model(pi int) learn.Model {
 	if pi < 0 || pi >= len(e.models) {
 		return nil
@@ -178,15 +177,13 @@ type Recommendation struct {
 	Value float64
 	Label string
 	// Confidence is the model's support, Supported whether it met the 75%
-	// voting threshold on full evidence (always true for non-CF models,
-	// which have no abstention semantics).
+	// voting threshold on full evidence.
 	Confidence float64
 	Supported  bool
 	// Explanation is the human-readable account shown to engineers.
 	Explanation string
 	// The remaining fields are the machine-readable evidence diagnostics
-	// carried from learn.Diag for the tracing and audit layers; they are
-	// zero for learners without relaxation semantics.
+	// carried from learn.Diag for the tracing and audit layers.
 
 	// RelaxationLevel is the ladder level the vote settled at (0 = full
 	// dependent set; -1 = no evidence fallback).
@@ -204,7 +201,7 @@ type Recommendation struct {
 	// weakest first).
 	Dropped string
 	// Dependents are the "attribute=value" pairs the model matched on,
-	// strongest association first (nil for non-CF learners).
+	// strongest association first.
 	Dependents []string
 }
 
@@ -225,12 +222,6 @@ func CopyRecommendations(recs []Recommendation) []Recommendation {
 		}
 	}
 	return out
-}
-
-// dependentValuer is implemented by models that can report the
-// "name=value" evidence key of a query row (cf.Model does).
-type dependentValuer interface {
-	DependentValues(row []string) []string
 }
 
 // Recommend produces recommendations for every parameter of a new carrier.
@@ -278,11 +269,10 @@ type BatchResult struct {
 // item reports its error in its own slot without failing the batch.
 //
 // The batch amortizes per-request setup: each attribute vector is encoded
-// through the column dictionaries once (learn.CodesModel) and shared by
-// every model fitted over the same columnar base, and the per-worker
-// predict scratch pools stay hot across items. Tracing and metrics stay
-// per-carrier — one "engine.recommend" span and one latency observation
-// per item.
+// through the column dictionaries once and shared by every model fitted
+// over the same columnar base, and the per-worker predict scratch pools
+// stay hot across items. Tracing and metrics stay per-carrier — one
+// "engine.recommend" span and one latency observation per item.
 func (e *Engine) RecommendBatch(ctx context.Context, items []BatchItem) ([]BatchResult, error) {
 	if e.net == nil {
 		return nil, fmt.Errorf("core: engine not trained")
@@ -292,19 +282,15 @@ func (e *Engine) RecommendBatch(ctx context.Context, items []BatchItem) ([]Batch
 
 // codesRep returns a model against which every model of pis shares its
 // query encoding — the representative a batch encodes rows through once —
-// or nil when any model opts out of the codes fast path.
-func (e *Engine) codesRep(pis []int) learn.CodesModel {
-	var rep learn.CodesModel
-	for _, pi := range pis {
-		m, ok := e.models[pi].(learn.CodesModel)
-		if !ok {
-			return nil
-		}
-		if rep == nil {
-			rep = m
-			continue
-		}
-		if !rep.SharesEncoding(m) {
+// or nil when the models span more than one columnar base, since codes
+// from a mismatched encoding would silently change answers.
+func (e *Engine) codesRep(pis []int) *cf.Model {
+	if len(pis) == 0 {
+		return nil
+	}
+	rep := e.models[pis[0]]
+	for _, pi := range pis[1:] {
+		if !rep.SharesEncoding(e.models[pi]) {
 			return nil
 		}
 	}
@@ -312,14 +298,11 @@ func (e *Engine) codesRep(pis []int) learn.CodesModel {
 }
 
 // scopesFor precomputes, per parameter model, the neighborhood scope for
-// the allowed From carriers (nil for models without SiteScoper support,
-// which then cannot serve a Local engine).
+// the allowed From carriers.
 func (e *Engine) scopesFor(ids []lte.CarrierID) []learn.Scope {
 	scopes := make([]learn.Scope, len(e.models))
 	for pi, m := range e.models {
-		if ss, ok := m.(learn.SiteScoper); ok {
-			scopes[pi] = ss.ScopeFrom(ids)
-		}
+		scopes[pi] = m.ScopeFrom(ids)
 	}
 	return scopes
 }
@@ -379,11 +362,7 @@ func (e *Engine) recommendMany(ctx context.Context, items []BatchItem) []BatchRe
 	// One encoding representative per attribute base: when every model of
 	// a group shares its base, each attribute vector is dictionary-encoded
 	// once here instead of once per parameter model.
-	sRep := e.codesRep(singular)
-	var pRep learn.CodesModel
-	if len(pair) > 0 {
-		pRep = e.codesRep(pair)
-	}
+	sRep, pRep := e.codesRep(singular), e.codesRep(pair)
 	sc := recScratchPool.Get().(*recScratch)
 	if cap(sc.states) < len(items) {
 		sc.states = make([]itemState, len(items))
@@ -394,7 +373,7 @@ func (e *Engine) recommendMany(ctx context.Context, items []BatchItem) []BatchRe
 	sc.states = states
 	// encode appends row's codes under rep into the pooled arena; nil when
 	// the models do not share one encoding.
-	encode := func(rep learn.CodesModel, row []string) []int32 {
+	encode := func(rep *cf.Model, row []string) []int32 {
 		if rep == nil {
 			return nil
 		}
@@ -408,35 +387,39 @@ func (e *Engine) recommendMany(ctx context.Context, items []BatchItem) []BatchRe
 		ictx, sp := trace.Start(ctx, "engine.recommend")
 		st := &states[ii]
 		st.ctx, st.sp, st.start = ictx, sp, time.Now()
-		if e.opts.Local {
-			st.scopes = e.scopesFor(e.scopeIDsFor(c))
-		}
-		// Attribute vectors and their encodings append into the pooled
-		// arenas; a grown arena leaves earlier vectors on the previous
-		// backing array, which stays reachable through their jobs.
-		base := len(sc.attrs)
-		sc.attrs = c.AppendAttributeVector(sc.attrs)
-		attrs := sc.attrs[base:len(sc.attrs):len(sc.attrs)]
-		sCodes := encode(sRep, attrs)
 		st.firstJob = len(jobs)
-		for _, pi := range singular {
-			jobs = append(jobs, recJob{ii, pi, attrs, sCodes, -1})
-		}
+		// A neighbor id outside the trained inventory (possible when a
+		// caller mixes ids across snapshot generations) is an item error,
+		// not a panic, and it fails the item before any job is planned.
 		for _, nb := range items[ii].Neighbors {
-			// A neighbor id outside the trained inventory (possible when a
-			// caller mixes ids across snapshot generations) is an item
-			// error, not a panic.
 			if nb < 0 || int(nb) >= len(e.net.Carriers) {
 				st.err = fmt.Errorf("core: neighbor %d outside the %d trained carriers", nb, len(e.net.Carriers))
 				break
 			}
-			pb := len(sc.attrs)
-			sc.attrs = append(sc.attrs, attrs...)
-			sc.attrs = e.net.Carriers[nb].AppendAttributeVector(sc.attrs)
-			pairAttrs := sc.attrs[pb:len(sc.attrs):len(sc.attrs)]
-			pCodes := encode(pRep, pairAttrs)
-			for _, pi := range pair {
-				jobs = append(jobs, recJob{ii, pi, pairAttrs, pCodes, nb})
+		}
+		if st.err == nil {
+			if e.opts.Local {
+				st.scopes = e.scopesFor(e.scopeIDsFor(c))
+			}
+			// Attribute vectors and their encodings append into the pooled
+			// arenas; a grown arena leaves earlier vectors on the previous
+			// backing array, which stays reachable through their jobs.
+			base := len(sc.attrs)
+			sc.attrs = c.AppendAttributeVector(sc.attrs)
+			attrs := sc.attrs[base:len(sc.attrs):len(sc.attrs)]
+			sCodes := encode(sRep, attrs)
+			for _, pi := range singular {
+				jobs = append(jobs, recJob{ii, pi, attrs, sCodes, -1})
+			}
+			for _, nb := range items[ii].Neighbors {
+				pb := len(sc.attrs)
+				sc.attrs = append(sc.attrs, attrs...)
+				sc.attrs = e.net.Carriers[nb].AppendAttributeVector(sc.attrs)
+				pairAttrs := sc.attrs[pb:len(sc.attrs):len(sc.attrs)]
+				pCodes := encode(pRep, pairAttrs)
+				for _, pi := range pair {
+					jobs = append(jobs, recJob{ii, pi, pairAttrs, pCodes, nb})
+				}
 			}
 		}
 		st.numJobs = len(jobs) - st.firstJob
@@ -456,6 +439,9 @@ func (e *Engine) recommendMany(ctx context.Context, items []BatchItem) []BatchRe
 	errs := sc.errs[:len(jobs)]
 	sc.errs = errs
 	poolErr := pool.ForEachNCtx(ctx, e.opts.Workers, len(jobs), recommendParamSeconds, func(jctx context.Context, i int) error {
+		if e.opts.beforePredict != nil {
+			e.opts.beforePredict()
+		}
 		j := jobs[i]
 		st := &states[j.item]
 		_, psp := trace.Start(st.ctx, "recommend.param")
@@ -529,27 +515,18 @@ func (e *Engine) recommendMany(ctx context.Context, items []BatchItem) []BatchRe
 	return results
 }
 
-// recommendOne predicts one parameter. A learn.CodesModel answers from
-// the query codes (encoded here when the batch could not share them),
-// voting within sc when the engine is Local; any other model answers
-// through Predict and cannot serve a Local engine.
+// recommendOne predicts one parameter from the query codes (encoded here
+// when the batch could not share them), voting within sc when the engine
+// is Local.
 func (e *Engine) recommendOne(pi int, attrs []string, codes []int32, neighbor lte.CarrierID, sc learn.Scope) (Recommendation, error) {
 	m := e.models[pi]
 	if m == nil {
 		return Recommendation{}, fmt.Errorf("core: no model for parameter %d", pi)
 	}
-	var p learn.Prediction
-	switch cm, ok := m.(learn.CodesModel); {
-	case e.opts.Local && sc == nil:
-		return Recommendation{}, fmt.Errorf("core: learner %s cannot scope geographically", e.opts.Learner.Name())
-	case ok:
-		if codes == nil {
-			codes = cm.EncodeRow(attrs)
-		}
-		p = cm.PredictCodes(codes, attrs, sc)
-	default:
-		p = m.Predict(attrs)
+	if codes == nil {
+		codes = m.EncodeRow(attrs)
 	}
+	p := m.PredictCodes(codes, attrs, sc)
 	spec := e.schema.At(pi)
 	v, err := parseLabel(spec, p.Label)
 	if err != nil {
@@ -572,9 +549,8 @@ func (e *Engine) recommendOne(pi int, attrs []string, codes []int32, neighbor lt
 		ExactIndexHit:   p.Diag.ExactIndex,
 		PostingLists:    p.Diag.PostingLists,
 		Dropped:         p.Diag.Dropped,
-	}
-	if dv, ok := m.(dependentValuer); ok {
-		rec.Dependents = dv.DependentValues(attrs)
+
+		Dependents: m.DependentValues(attrs),
 	}
 	return rec, nil
 }

@@ -3,11 +3,11 @@ package core
 import (
 	"context"
 	"reflect"
-
+	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 
-	"auric/internal/learn/knn"
 	"auric/internal/lte"
 	"auric/internal/netsim"
 	"auric/internal/trace"
@@ -93,18 +93,6 @@ func TestLocalEngineUsesScope(t *testing.T) {
 	}
 	if !found {
 		t.Error("no CF-style explanations in scoped recommendations")
-	}
-}
-
-func TestLocalRequiresScopedModel(t *testing.T) {
-	w := netsim.Generate(netsim.Options{Seed: 13, Markets: 2, ENodeBsPerMarket: 12})
-	e := New(w.Schema, Options{Local: true, Learner: knn.New(), MaxSamples: 200})
-	if err := e.Train(w.Net, w.X2, w.Current); err != nil {
-		t.Fatal(err)
-	}
-	_, err := e.Recommend(&w.Net.Carriers[0], nil)
-	if err == nil || !strings.Contains(err.Error(), "cannot scope") {
-		t.Errorf("expected scoping error for kNN, got %v", err)
 	}
 }
 
@@ -317,30 +305,79 @@ func TestRecommendBatchMatchesSingles(t *testing.T) {
 	}
 }
 
-// TestRecommendBatchErrorsPerItem pins item isolation: when every
-// prediction fails (an unscopeable learner under Local), the batch call
-// itself succeeds and each item reports its own error.
+// TestRecommendBatchErrorsPerItem pins item isolation: items naming a
+// neighbor outside the trained inventory fail in their own slots, the
+// batch call itself succeeds, and the good item between them is answered
+// as a single call would be. A failed item plans no jobs, so it runs no
+// predictions even when its bad neighbor comes after valid ones.
 func TestRecommendBatchErrorsPerItem(t *testing.T) {
 	w := netsim.Generate(netsim.Options{Seed: 13, Markets: 2, ENodeBsPerMarket: 12})
-	e := New(w.Schema, Options{Local: true, Learner: knn.New(), MaxSamples: 200})
+	var predicts atomic.Int64
+	e := New(w.Schema, Options{Local: true, beforePredict: func() { predicts.Add(1) }})
 	if err := e.Train(w.Net, w.X2, w.Current); err != nil {
 		t.Fatal(err)
 	}
-	items := []BatchItem{
-		{Carrier: &w.Net.Carriers[0]},
-		{Carrier: &w.Net.Carriers[1]},
+	valid := w.X2.CarrierNeighbors(0)
+	if len(valid) == 0 {
+		t.Fatal("carrier 0 has no X2 neighbors")
 	}
-	batch, err := e.RecommendBatch(context.Background(), items)
+	good := w.X2.CarrierNeighbors(2)
+	items := []BatchItem{
+		{Carrier: &w.Net.Carriers[0], Neighbors: append(slices.Clone(valid), -1)},
+		{Carrier: &w.Net.Carriers[2], Neighbors: good},
+		{Carrier: &w.Net.Carriers[1], Neighbors: []lte.CarrierID{lte.CarrierID(len(w.Net.Carriers))}},
+	}
+	tr := trace.New(trace.Options{SampleRate: 1})
+	ctx, root := tr.StartRoot(context.Background(), "test")
+	batch, err := e.RecommendBatch(ctx, items)
+	root.Finish()
 	if err != nil {
 		t.Fatalf("batch call failed outright: %v", err)
 	}
-	for i, res := range batch {
-		if res.Err == nil || !strings.Contains(res.Err.Error(), "cannot scope") {
-			t.Errorf("item %d: err = %v, want scoping error", i, res.Err)
+	for _, i := range []int{0, 2} {
+		if res := batch[i]; res.Err == nil || !strings.Contains(res.Err.Error(), "outside the") {
+			t.Errorf("item %d: err = %v, want neighbor range error", i, res.Err)
 		}
-		if res.Recommendations != nil {
+		if batch[i].Recommendations != nil {
 			t.Errorf("item %d: error result carries recommendations", i)
 		}
+	}
+	if batch[1].Err != nil {
+		t.Fatalf("good item failed beside bad siblings: %v", batch[1].Err)
+	}
+	goodJobs := len(w.Schema.Singular()) + len(good)*len(w.Schema.PairWise())
+	if got := predicts.Load(); got != int64(goodJobs) {
+		t.Errorf("batch ran %d predictions, want only the good item's %d", got, goodJobs)
+	}
+
+	spans := 0
+	for _, s := range tr.Traces()[0].Spans {
+		if s.Name != "engine.recommend" {
+			continue
+		}
+		spans++
+		attrs := make(map[string]any, len(s.Attrs))
+		for _, a := range s.Attrs {
+			attrs[a.Key] = a.Value()
+		}
+		want := int64(0)
+		if attrs["carrier"] == int64(2) {
+			want = int64(goodJobs)
+		}
+		if attrs["jobs"] != want {
+			t.Errorf("carrier %v: span jobs = %v, want %d", attrs["carrier"], attrs["jobs"], want)
+		}
+	}
+	if spans != len(items) {
+		t.Errorf("engine.recommend spans = %d, want %d", spans, len(items))
+	}
+
+	single, err := e.Recommend(&w.Net.Carriers[2], good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(batch[1].Recommendations, single) {
+		t.Error("good item's batch answer differs from a single call")
 	}
 }
 

@@ -18,8 +18,6 @@ import (
 
 	"auric/internal/dataset"
 	"auric/internal/geo"
-	"auric/internal/learn"
-	"auric/internal/learn/cf"
 	"auric/internal/lte"
 	"auric/internal/obs"
 	"auric/internal/paramspec"
@@ -101,9 +99,8 @@ type marketDelta struct {
 // validation errors, and any patch failure, leave the serving state
 // untouched.
 //
-// Apply requires the engine's models to support incremental update (the
-// default cf learner does) and an unsampled training set (Options.MaxSamples
-// must be zero).
+// Apply requires an unsampled training set (Options.MaxSamples must be
+// zero).
 func (se *ShardedEngine) Apply(d Delta) (ApplyResult, error) {
 	se.loadMu.Lock()
 	defer se.loadMu.Unlock()
@@ -508,15 +505,6 @@ func (se *ShardedEngine) marketDeltas(cur *shardState, net2 *lte.Network, x22 *g
 	return mds
 }
 
-// cfModel asserts one parameter model supports incremental update.
-func (e *Engine) cfModel(pi int) (*cf.Model, error) {
-	m, ok := e.models[pi].(*cf.Model)
-	if !ok {
-		return nil, fmt.Errorf("core: live ingest requires cf models; parameter %s has %T", e.schema.At(pi).Name, e.models[pi])
-	}
-	return m, nil
-}
-
 // patched returns a copy of the engine over the new inventory with its
 // models absorbed into the market delta: the shared singular and pair-wise
 // columnar bases are extended copy-on-write once each, then every parameter
@@ -527,8 +515,7 @@ func (e *Engine) patched(net *lte.Network, x2 *geo.Graph, cfg *lte.Config, keep 
 	opts := e.opts
 	opts.Keep = keep
 	ne := &Engine{opts: opts, schema: e.schema, net: net, x2: x2}
-	models := make([]learn.Model, len(e.models))
-	copy(models, e.models)
+	models := slices.Clone(e.models)
 	patched, refit := 0, 0
 
 	// Rows only exist for carriers the shard trains on; the keep filter
@@ -563,16 +550,9 @@ func (e *Engine) patched(net *lte.Network, x2 *geo.Graph, cfg *lte.Config, keep 
 		if len(b.pis) == 0 || (len(b.sites) == 0 && len(b.rm) == 0) {
 			continue
 		}
-		rep, err := e.cfModel(b.pis[0])
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		ext := dataset.ExtendBase(rep.Table(), b.rows)
+		ext := dataset.ExtendBase(e.models[b.pis[0]].Table(), b.rows)
 		for _, pi := range b.pis {
-			m, err := e.cfModel(pi)
-			if err != nil {
-				return nil, 0, 0, err
-			}
+			m := e.models[pi]
 			t2 := ext.Rebase(m.Table())
 			spec := e.schema.At(pi)
 			for k, site := range b.sites {

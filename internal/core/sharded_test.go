@@ -8,8 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"auric/internal/dataset"
-	"auric/internal/learn"
 	"auric/internal/lte"
 	"auric/internal/netsim"
 )
@@ -207,28 +205,6 @@ func TestShardedHotReload(t *testing.T) {
 	}
 }
 
-// slowLearner fits models whose every prediction sleeps — enough to make
-// stream progress observable without touching the CF machinery.
-type slowLearner struct {
-	delay    time.Duration
-	predicts *atomic.Int64
-}
-
-type slowModel struct {
-	delay    time.Duration
-	predicts *atomic.Int64
-}
-
-func (l slowLearner) Name() string { return "slow" }
-func (l slowLearner) Fit(t *dataset.Table) (learn.Model, error) {
-	return slowModel{delay: l.delay, predicts: l.predicts}, nil
-}
-func (m slowModel) Predict(row []string) learn.Prediction {
-	m.predicts.Add(1)
-	time.Sleep(m.delay)
-	return learn.Prediction{Label: "1", Confidence: 1, Explanation: "slow"}
-}
-
 // TestRecommendStreamProgress proves streaming is incremental: with
 // one-item chunks, the first emitted result arrives while most of the
 // batch is still uncomputed (the lazy launch window keeps later chunks
@@ -236,7 +212,12 @@ func (m slowModel) Predict(row []string) learn.Prediction {
 func TestRecommendStreamProgress(t *testing.T) {
 	w := netsim.Generate(netsim.Options{Seed: 5, Markets: 1, ENodeBsPerMarket: 6})
 	var predicts atomic.Int64
-	se := NewSharded(w.Schema, Options{Learner: slowLearner{delay: 500 * time.Microsecond, predicts: &predicts}})
+	// Every prediction is counted and slowed down, enough to make stream
+	// progress observable.
+	se := NewSharded(w.Schema, Options{beforePredict: func() {
+		predicts.Add(1)
+		time.Sleep(500 * time.Microsecond)
+	}})
 	if _, err := se.Load(w.Net, w.X2, w.Current); err != nil {
 		t.Fatal(err)
 	}

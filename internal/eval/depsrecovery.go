@@ -49,12 +49,11 @@ func DependencyRecovery(w *netsim.World, maxSamples int) (DepRecoveryResult, err
 		if maxSamples > 0 {
 			t = t.Sample(maxSamples, uint64(pi)+1)
 		}
-		m, err := cf.New().Fit(t)
+		m, err := cf.Fit(t, cf.Options{})
 		if err != nil {
 			return res, err
 		}
-		model := m.(*cf.Model)
-		selected := model.DependentColumns()
+		selected := m.DependentColumns()
 		rank := make(map[int]int, len(selected))
 		for i, c := range selected {
 			rank[c] = i

@@ -163,18 +163,28 @@ type fitScratch struct {
 
 var fitScratchPool = sync.Pool{New: func() any { return new(fitScratch) }}
 
-// Fit implements learn.Learner: it runs the chi-square test of Eq. (3)
-// between every attribute column and the parameter values over dense
-// code-indexed count arrays, keeps the dependent columns ordered by
-// statistic (strongest first), and builds the two match structures — the
-// exact index over the full dependent-set key and one sorted posting list
-// per (dependent column, code) for the relaxation ladder. Working storage
-// comes from a pooled fitScratch and is reused across calls.
+// Fit implements learn.Learner through the package-level Fit. A failed fit
+// returns a nil interface, not one wrapping a nil *Model.
 func (l *Learner) Fit(t *dataset.Table) (learn.Model, error) {
+	m, err := Fit(t, l.Opts)
+	if err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// Fit runs the chi-square test of Eq. (3) between every attribute column
+// and the parameter values over dense code-indexed count arrays, keeps the
+// dependent columns ordered by statistic (strongest first), and builds the
+// two match structures — the exact index over the full dependent-set key
+// and one sorted posting list per (dependent column, code) for the
+// relaxation ladder. Zero options take the paper's settings. Working
+// storage comes from a pooled fitScratch and is reused across calls.
+func Fit(t *dataset.Table, opts Options) (*Model, error) {
 	if t.Len() == 0 {
 		return nil, learn.ErrEmptyTable
 	}
-	opts := l.Opts.withDefaults()
+	opts = opts.withDefaults()
 	n := t.Len()
 	ncols := t.NumCols()
 	sc := fitScratchPool.Get().(*fitScratch)
@@ -692,12 +702,9 @@ func (m *Model) AppendEncodeRow(dst []int32, row []string) []int32 {
 	return dst
 }
 
-// SharesEncoding implements learn.CodesModel: true when o was fitted over
-// the same columnar base, making EncodeRow output interchangeable.
-func (m *Model) SharesEncoding(o learn.Model) bool {
-	om, ok := o.(*Model)
-	return ok && m.t.SharesBase(om.t)
-}
+// SharesEncoding reports whether o was fitted over the same columnar base,
+// making EncodeRow output interchangeable.
+func (m *Model) SharesEncoding(o *Model) bool { return m.t.SharesBase(o.t) }
 
 // PredictCodes implements learn.CodesModel. codes must come from EncodeRow
 // of a model sharing this model's encoding; sc may be nil or a Scope from

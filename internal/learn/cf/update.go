@@ -206,11 +206,8 @@ func (m *Model) refitLive(t *dataset.Table, dead []bool, live int) (*Model, bool
 			idx = append(idx, i)
 		}
 	}
-	nm, err := (&Learner{Opts: m.opts}).Fit(t.Subset(idx))
-	if err != nil {
-		return nil, false, err
-	}
-	return nm.(*Model), false, nil
+	nm, err := Fit(t.Subset(idx), m.opts)
+	return nm, false, err
 }
 
 // patchPostings rewrites, for each dependent column, only the per-code

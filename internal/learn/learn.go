@@ -90,15 +90,12 @@ type Scope interface {
 }
 
 // CodesModel is implemented by models that accept pre-encoded query rows,
-// optionally restricted to a Scope. Batch callers encode each attribute
-// string through the column dictionaries once and reuse the codes across
-// every model sharing the same columnar base — the per-batch amortization
-// of Engine.RecommendBatch.
+// optionally restricted to a Scope. Callers encode each attribute string
+// through the column dictionaries once and reuse the codes across
+// predictions; evaluation drivers predict straight off a table's stored
+// codes (EncodesTable).
 type CodesModel interface {
 	Model
-	// SharesEncoding reports whether o decodes attribute codes identically
-	// to this model (both fitted over the same columnar base).
-	SharesEncoding(o Model) bool
 	// EncodeRow translates a query row into the model's code space, one
 	// code per column (-1 for values never seen in training).
 	EncodeRow(row []string) []int32
