@@ -33,9 +33,18 @@ import (
 // rejection (semantic conflict) is a 409.
 var errJournal = errors.New("journal failure")
 
+// errTooLarge marks a delta whose journal entry would exceed
+// journal.MaxData: it is refused before it reaches the engine, since
+// applying it unjournaled would lose it on restart and journaling it
+// would make the journal unreplayable.
+var errTooLarge = errors.New("delta too large to journal")
+
 // ingestStatus maps an applyDelta error to its HTTP status.
 func ingestStatus(err error) int {
-	if errors.Is(err, errJournal) {
+	switch {
+	case errors.Is(err, errTooLarge):
+		return http.StatusRequestEntityTooLarge
+	case errors.Is(err, errJournal):
 		return http.StatusInternalServerError
 	}
 	return http.StatusConflict
@@ -275,13 +284,25 @@ func (s *server) handleCarrierDelete(rw http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// applyDelta is the single mutation path: apply to the engine, then append
-// the wire form to the journal, then (maybe) compact — all under reloadMu
-// so ingest, compaction and snapshot reload serialize. A delta is
-// acknowledged only after its journal append fsyncs; if the append fails
-// the state is live but not durable, which the caller reports as a 500 and
-// the log flags loudly.
+// applyDelta is the single mutation path: encode the wire form, apply to
+// the engine, then append the encoding to the journal, then (maybe)
+// compact — all under reloadMu so ingest, compaction and snapshot reload
+// serialize. A delta whose encoding exceeds journal.MaxData is refused
+// (413) before anything applies. A delta is acknowledged only after its
+// journal append fsyncs; if the append fails the state is live but not
+// durable, which the caller reports as a 500 and the log flags loudly.
 func (s *server) applyDelta(wd wireDelta, d auric.Delta) (auric.ApplyResult, error) {
+	var data []byte
+	if s.journal != nil {
+		var err error
+		if data, err = json.Marshal(wd); err != nil {
+			return auric.ApplyResult{}, fmt.Errorf("%w: encode: %w", errJournal, err)
+		}
+		if len(data) > journal.MaxData {
+			return auric.ApplyResult{}, fmt.Errorf("%w: encoded delta is %d bytes, over the %d-byte journal entry limit; nothing applied",
+				errTooLarge, len(data), journal.MaxData)
+		}
+	}
 	s.reloadMu.Lock()
 	defer s.reloadMu.Unlock()
 	res, err := s.engine.Apply(d)
@@ -289,10 +310,6 @@ func (s *server) applyDelta(wd wireDelta, d auric.Delta) (auric.ApplyResult, err
 		return res, err
 	}
 	if s.journal != nil {
-		data, err := json.Marshal(wd)
-		if err != nil {
-			return res, fmt.Errorf("%w: encode: %w", errJournal, err)
-		}
 		if _, err := s.journal.Append("delta", data); err != nil {
 			log.Printf("auricd: APPLIED DELTA NOT JOURNALED (a restart loses it): %v", err)
 			return res, fmt.Errorf("%w: append: %w", errJournal, err)

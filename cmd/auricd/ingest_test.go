@@ -234,6 +234,54 @@ func TestIngestBodyTooLarge(t *testing.T) {
 	}
 }
 
+// TestIngestTooLargeToJournal: an upsert within the body cap whose journal
+// entry would exceed journal.MaxData answers 413 with nothing applied, and
+// the journal still reopens with every earlier entry. JSON escapes each
+// '<' as \u003c, so 3 MiB of '<' in a body journals as ~18 MiB.
+func TestIngestTooLargeToJournal(t *testing.T) {
+	jpath := filepath.Join(t.TempDir(), "deltas.jsonl")
+	s := liveServer(t, jpath)
+	s.journalMax = 0 // no size-triggered compaction: every entry stays in the file
+	net, _, _, err := s.engine.Inventory()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustIngest(t, s, donorItem(net, 0))
+	gen := s.engine.Generation()
+
+	big := donorItem(net, 1)
+	big.Carrier.Hardware = strings.Repeat("<", 3<<20)
+	var body strings.Builder
+	enc := json.NewEncoder(&body)
+	enc.SetEscapeHTML(false)
+	if err := enc.Encode(big); err != nil {
+		t.Fatal(err)
+	}
+	if body.Len() > maxBodyBytes {
+		t.Fatalf("body of %d bytes is over the %d-byte cap; the test needs one under it", body.Len(), maxBodyBytes)
+	}
+	rec := postIngest(t, s, body.String())
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("status %d, want 413: %.200s", rec.Code, rec.Body)
+	}
+	if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
+		t.Errorf("content type %q, want application/json", ct)
+	}
+	if g := s.engine.Generation(); g != gen {
+		t.Errorf("refused ingest moved the generation from %d to %d", gen, g)
+	}
+
+	s.journal.Close()
+	j, entries, err := journal.Open(jpath)
+	if err != nil {
+		t.Fatalf("reopen journal: %v", err)
+	}
+	defer j.Close()
+	if len(entries) != 1 || entries[0].Seq != 1 {
+		t.Fatalf("reopened journal holds %d entries, want the 1 earlier entry", len(entries))
+	}
+}
+
 // TestJournalReplayAfterCrash is the durability round trip: ingest, crash
 // without compacting (plus a torn final write), restart from the same
 // journal, and land in an identical serving state — same inventory, same

@@ -176,8 +176,10 @@ type Recommendation struct {
 	// Value is the recommended grid value; Label its canonical form.
 	Value float64
 	Label string
-	// Confidence is the model's support, Supported whether it met the 75%
-	// voting threshold on full evidence.
+	// Confidence is the model's support. Supported reports whether it
+	// reached the 75% voting threshold (cf.DefaultSupport) at whatever
+	// relaxation level the vote settled, not only on the full dependent
+	// set.
 	Confidence float64
 	Supported  bool
 	// Explanation is the human-readable account shown to engineers.
@@ -280,23 +282,6 @@ func (e *Engine) RecommendBatch(ctx context.Context, items []BatchItem) ([]Batch
 	return e.recommendMany(ctx, items), nil
 }
 
-// codesRep returns a model against which every model of pis shares its
-// query encoding — the representative a batch encodes rows through once —
-// or nil when the models span more than one columnar base, since codes
-// from a mismatched encoding would silently change answers.
-func (e *Engine) codesRep(pis []int) *cf.Model {
-	if len(pis) == 0 {
-		return nil
-	}
-	rep := e.models[pis[0]]
-	for _, pi := range pis[1:] {
-		if !rep.SharesEncoding(e.models[pi]) {
-			return nil
-		}
-	}
-	return rep
-}
-
 // scopesFor precomputes, per parameter model, the neighborhood scope for
 // the allowed From carriers.
 func (e *Engine) scopesFor(ids []lte.CarrierID) []learn.Scope {
@@ -359,10 +344,18 @@ func putRecScratch(sc *recScratch) {
 // is byte-identical to the serial walk at any worker count.
 func (e *Engine) recommendMany(ctx context.Context, items []BatchItem) []BatchResult {
 	singular, pair := e.schema.Singular(), e.schema.PairWise()
-	// One encoding representative per attribute base: when every model of
-	// a group shares its base, each attribute vector is dictionary-encoded
-	// once here instead of once per parameter model.
-	sRep, pRep := e.codesRep(singular), e.codesRep(pair)
+	// Every model of an attribute base is fitted from one dataset.Builder
+	// (or rebased by one ExtendBase on ingest), so each attribute vector
+	// is dictionary-encoded once, through the base's first model, instead
+	// of once per parameter model. An empty group has no jobs to encode
+	// for.
+	var sRep, pRep *cf.Model
+	if len(singular) > 0 {
+		sRep = e.models[singular[0]]
+	}
+	if len(pair) > 0 {
+		pRep = e.models[pair[0]]
+	}
 	sc := recScratchPool.Get().(*recScratch)
 	if cap(sc.states) < len(items) {
 		sc.states = make([]itemState, len(items))
@@ -371,8 +364,8 @@ func (e *Engine) recommendMany(ctx context.Context, items []BatchItem) []BatchRe
 	// the elements a batch used before resetting the lengths.
 	states := sc.states[:len(items)]
 	sc.states = states
-	// encode appends row's codes under rep into the pooled arena; nil when
-	// the models do not share one encoding.
+	// encode appends row's codes under rep into the pooled arena; nil for
+	// an empty group.
 	encode := func(rep *cf.Model, row []string) []int32 {
 		if rep == nil {
 			return nil
@@ -515,16 +508,12 @@ func (e *Engine) recommendMany(ctx context.Context, items []BatchItem) []BatchRe
 	return results
 }
 
-// recommendOne predicts one parameter from the query codes (encoded here
-// when the batch could not share them), voting within sc when the engine
-// is Local.
+// recommendOne predicts one parameter from the batch's shared query codes,
+// voting within sc when the engine is Local.
 func (e *Engine) recommendOne(pi int, attrs []string, codes []int32, neighbor lte.CarrierID, sc learn.Scope) (Recommendation, error) {
 	m := e.models[pi]
 	if m == nil {
 		return Recommendation{}, fmt.Errorf("core: no model for parameter %d", pi)
-	}
-	if codes == nil {
-		codes = m.EncodeRow(attrs)
 	}
 	p := m.PredictCodes(codes, attrs, sc)
 	spec := e.schema.At(pi)
@@ -532,7 +521,6 @@ func (e *Engine) recommendOne(pi int, attrs []string, codes []int32, neighbor lt
 	if err != nil {
 		return Recommendation{}, err
 	}
-	supported := p.Confidence >= 0.75
 	rec := Recommendation{
 		Param:       spec.Name,
 		ParamIndex:  pi,
@@ -540,7 +528,7 @@ func (e *Engine) recommendOne(pi int, attrs []string, codes []int32, neighbor lt
 		Value:       v,
 		Label:       p.Label,
 		Confidence:  p.Confidence,
-		Supported:   supported,
+		Supported:   p.Confidence >= cf.DefaultSupport,
 		Explanation: p.Explanation,
 
 		RelaxationLevel: p.Diag.Level,

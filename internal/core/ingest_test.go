@@ -69,6 +69,34 @@ func liveCarriers(t *testing.T, se *ShardedEngine) []lte.CarrierID {
 	return ids
 }
 
+// assertSharedBases checks the invariant batch encoding rests on: in every
+// shard, all singular models are fitted over one columnar base, and all
+// pair-wise models over another, so codes encoded through a group's first
+// model are valid input to every model of the group. Load establishes it
+// (one dataset.Builder per shard) and every Apply must preserve it (one
+// ExtendBase per base in Engine.patched).
+func assertSharedBases(t *testing.T, se *ShardedEngine) {
+	t.Helper()
+	st := se.state.Load()
+	for market, e := range st.shards {
+		if e == nil {
+			continue
+		}
+		for _, group := range [][]int{e.schema.Singular(), e.schema.PairWise()} {
+			if len(group) == 0 {
+				continue
+			}
+			first := e.models[group[0]].Table()
+			for _, pi := range group[1:] {
+				if !e.models[pi].Table().SharesBase(first) {
+					t.Fatalf("market %d: %s does not share the columnar base of %s",
+						market, e.schema.At(pi).Name, e.schema.At(group[0]).Name)
+				}
+			}
+		}
+	}
+}
+
 // referenceEngine loads a fresh sharded engine over the serving state of se,
 // excluding its tombstoned carriers through the keep filter — the
 // from-scratch refit every Apply must be indistinguishable from.
@@ -159,6 +187,7 @@ func checkIngestEquivalence(t *testing.T, w *netsim.World, steps int, r deltaCho
 	if _, err := se.Load(w.Net, w.X2, w.Current); err != nil {
 		t.Fatal(err)
 	}
+	assertSharedBases(t, se)
 
 	for step := 0; step < steps; step++ {
 		net, cfg, _, _, err := se.SnapshotState()
@@ -220,6 +249,7 @@ func checkIngestEquivalence(t *testing.T, w *netsim.World, steps int, r deltaCho
 		}
 		totalPatched += res.Patched
 		totalRefit += res.Refit
+		assertSharedBases(t, se)
 		for i, u := range d.Upserts {
 			if u.Carrier.ID == -1 && int(res.Assigned[i]) < len(net.Carriers) {
 				t.Fatalf("step %d: new carrier assigned old id %d", step, res.Assigned[i])

@@ -135,10 +135,6 @@ func crossValidate(t *dataset.Table, l learn.Learner, net *lte.Network, x2 *geo.
 		// Scoring consumes only the label, so unscoped models exposing the
 		// explanation-free fast path skip the Prediction assembly.
 		lm, okLabel := m.(learn.LabelModel)
-		// A fold model trained on a Subset of t shares t's columnar base,
-		// so the table's stored codes are already the model's encoding —
-		// no per-prediction string re-encode.
-		fromTable := scoped && ss.EncodesTable(t)
 		// Folds are grouped by carrier, so a carrier's pair-wise test rows
 		// arrive together and share one precomputed scope per fold model.
 		scopeCache := make(map[lte.CarrierID]learn.Scope)
@@ -156,15 +152,13 @@ func crossValidate(t *dataset.Table, l learn.Learner, net *lte.Network, x2 *geo.
 					sc = ss.ScopeFrom(hood(self))
 					scopeCache[self] = sc
 				}
-				codes := codeBuf[:0]
-				if fromTable {
-					for c := range row {
-						codes = append(codes, t.Code(i, c))
-					}
-				} else {
-					codes = ss.AppendEncodeRow(codes, row)
+				// A fold model trained on a Subset of t shares t's columnar
+				// base, so the table's stored codes are already the model's
+				// encoding — no per-prediction string re-encode.
+				for c := range codeBuf {
+					codeBuf[c] = t.Code(i, c)
 				}
-				label = ss.PredictCodes(codes, row, sc).Label
+				label = ss.PredictCodes(codeBuf, row, sc).Label
 			case okLabel:
 				label = lm.PredictLabel(row)
 			default:

@@ -18,13 +18,15 @@
 // from the fence, or new entries would reuse already-folded numbers.
 // Open tolerates exactly one failure shape: a
 // corrupt or partial tail with no valid entries after it — the footprint
-// of a crash mid-append — which it truncates away and reports. A corrupt
-// line with valid entries after it is data loss in the middle of the
-// history and is returned as an error instead of being silently skipped.
+// of a crash mid-append, including a last line missing its newline —
+// which it truncates away and reports. A corrupt line with valid entries
+// after it is data loss in the middle of the history and is returned as
+// an error instead of being silently skipped.
 package journal
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -58,9 +60,21 @@ type Journal struct {
 	writeFn func([]byte) (int, error) // test seam: overrides j.f.Write when non-nil
 }
 
-// maxLine bounds a single journal entry (a delta carrying many carriers is
-// still far below this).
-const maxLine = 16 << 20
+// MaxData is the largest entry payload, in bytes as json.Marshal writes
+// it (compact, with <, > and & escaped), that Append always accepts for a
+// short kind such as "delta".
+// Callers that must journal a mutation before acknowledging it check the
+// encoded payload against MaxData before applying the mutation.
+const MaxData = maxLine - envelopeBytes
+
+const (
+	// maxLine bounds one journal line, newline included: Open reads
+	// nothing longer, so Append writes nothing longer either.
+	maxLine = 16 << 20
+	// envelopeBytes is the room a line keeps around its payload for the
+	// entry's sequence number, timestamp and kind.
+	envelopeBytes = 4 << 10
+)
 
 // Open opens or creates the journal at path and returns every valid entry
 // in order, for replay. A corrupt tail left by a crash mid-append is
@@ -81,11 +95,14 @@ func Open(path string) (*Journal, []Entry, error) {
 	)
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 64<<10), maxLine)
+	sc.Split(scanLine)
 	for sc.Scan() {
 		line := sc.Bytes()
-		lineLen := int64(len(line)) + 1 // +1 for the newline Scan strips
+		lineLen := int64(len(line))
 		var e Entry
-		if err := json.Unmarshal(line, &e); err != nil {
+		// A line without its newline is a torn append even when its JSON
+		// parses: appending after it would glue the next entry onto it.
+		if line[len(line)-1] != '\n' || json.Unmarshal(line, &e) != nil {
 			if badAt < 0 {
 				badAt = offset // candidate crash tail; confirmed if nothing valid follows
 			}
@@ -142,6 +159,20 @@ func Open(path string) (*Journal, []Entry, error) {
 	return j, entries, nil
 }
 
+// scanLine splits the journal into lines that keep their newline, so a
+// line's length is exactly the bytes it spans on disk; bufio.ScanLines
+// would also strip a carriage return and end an unterminated last line as
+// if it were complete, and either would misplace the truncation offset.
+func scanLine(data []byte, atEOF bool) (int, []byte, error) {
+	if i := bytes.IndexByte(data, '\n'); i >= 0 {
+		return i + 1, data[:i+1], nil
+	}
+	if atEOF && len(data) > 0 {
+		return len(data), data, nil
+	}
+	return 0, nil, nil
+}
+
 // Path returns the journal file path.
 func (j *Journal) Path() string { return j.path }
 
@@ -187,7 +218,9 @@ func (j *Journal) SeedSeq(n int64) {
 
 // Append journals one mutation: it assigns the next sequence number,
 // writes the entry as a single JSON line, and fsyncs before returning —
-// an acknowledged mutation survives a crash. A failed or partial write is
+// an acknowledged mutation survives a crash. An entry whose line would be
+// too long for Open to read back is refused before anything is written;
+// a payload of at most MaxData bytes fits. A failed or partial write is
 // rolled back (the file truncates to the last acknowledged entry), so a
 // transient failure like ENOSPC leaves the journal a clean prefix of
 // valid entries instead of a torn line that later valid appends would
@@ -208,6 +241,9 @@ func (j *Journal) Append(kind string, data json.RawMessage) (Entry, error) {
 		return Entry{}, fmt.Errorf("journal: marshal: %w", err)
 	}
 	line = append(line, '\n')
+	if len(line) > maxLine {
+		return Entry{}, fmt.Errorf("journal: entry of %d bytes exceeds the %d-byte line limit; nothing written", len(line), maxLine)
+	}
 	write := j.f.Write
 	if j.writeFn != nil {
 		write = j.writeFn

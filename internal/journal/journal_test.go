@@ -1,8 +1,10 @@
 package journal
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -195,6 +197,50 @@ func TestJournalTornAppendRollback(t *testing.T) {
 	}
 }
 
+// TestJournalRefusesOversizedEntry: an entry whose line Open could not read
+// back is refused with nothing written, so one oversized mutation cannot
+// make the whole journal unreplayable. JSON escaping makes the line longer
+// than the payload handed in (each '<' becomes \u003c), and the check is
+// on the line as written. A payload of exactly MaxData bytes still fits.
+func TestJournalRefusesOversizedEntry(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "deltas.jsonl")
+	j, _, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	mustAppend(t, j, "delta", `{"a":1}`)
+	size := j.Size()
+
+	escaped := `"` + strings.Repeat("<", maxLine/6+1) + `"` // under maxLine raw, over it escaped
+	if _, err := j.Append("delta", json.RawMessage(escaped)); err == nil {
+		t.Fatal("oversized entry was journaled")
+	}
+	if j.Size() != size || j.NextSeq() != 2 {
+		t.Fatalf("refused append changed the journal: size %d -> %d, next seq %d", size, j.Size(), j.NextSeq())
+	}
+	largest := `"` + strings.Repeat("a", MaxData-2) + `"`
+	mustAppend(t, j, "delta", largest)
+	mustAppend(t, j, "delta", `{"c":3}`)
+	j.Close()
+
+	j, entries, err := Open(path)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	if len(entries) != 3 || j.Dropped() != 0 {
+		t.Fatalf("reopen: %d entries, %d dropped bytes; want 3 clean entries", len(entries), j.Dropped())
+	}
+	for i, e := range entries {
+		if e.Seq != int64(i+1) {
+			t.Fatalf("entry %d has seq %d", i, e.Seq)
+		}
+	}
+	if len(entries[1].Data) != MaxData {
+		t.Fatalf("largest payload replayed as %d bytes, want %d", len(entries[1].Data), MaxData)
+	}
+}
+
 // TestJournalPoisonedOnFailedRollback: when the rollback itself fails the
 // journal refuses further appends — writing valid entries after a torn
 // line would make every future replay fail.
@@ -256,4 +302,58 @@ func TestJournalReset(t *testing.T) {
 	if e := mustAppend(t, j, "delta", `{}`); e.Seq != 4 {
 		t.Fatalf("seq after reopen = %d, want 4", e.Seq)
 	}
+}
+
+// entryLine renders one well-formed journal line.
+func entryLine(seq int, data string) string {
+	return fmt.Sprintf(`{"seq":%d,"ts":"2026-08-08T00:00:0%dZ","kind":"delta","data":%s}`+"\n", seq, seq%10, data)
+}
+
+// FuzzJournalReplay feeds arbitrary bytes to Open as a journal file. Open
+// must never panic, and whenever it accepts a file the journal must stay
+// appendable: one Append and a reopen return the entries Open replayed
+// plus the new one, with contiguous sequence numbers and nothing dropped.
+func FuzzJournalReplay(f *testing.F) {
+	valid := entryLine(1, `{}`) + entryLine(2, `{"tombstones":[7]}`)
+	f.Add([]byte(valid))
+	f.Add([]byte(valid + `{"seq":3,"ts":"2026-08-08T00:00:00Z","kind":"del`)) // torn tail
+	f.Add([]byte(entryLine(1, `{}`) + "not json\n" + entryLine(2, `{}`)))     // mid-history corruption
+	f.Add([]byte(strings.ReplaceAll(valid, "\n", "\r\n")))                    // CRLF line ends
+	f.Add([]byte(strings.TrimSuffix(valid, "\n")))                            // unterminated last entry
+	f.Fuzz(func(t *testing.T, file []byte) {
+		path := filepath.Join(t.TempDir(), "deltas.jsonl")
+		if err := os.WriteFile(path, file, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		j, before, err := Open(path)
+		if err != nil {
+			return // refusing a corrupt history is allowed; panicking is not
+		}
+		added, err := j.Append("delta", json.RawMessage(`{"tombstones":[1]}`))
+		j.Close()
+		if err != nil {
+			t.Fatalf("append after a successful open: %v", err)
+		}
+		j, after, err := Open(path)
+		if err != nil {
+			t.Fatalf("reopen after append: %v", err)
+		}
+		j.Close()
+		if j.Dropped() != 0 {
+			t.Fatalf("reopen dropped %d bytes of a journal this package wrote", j.Dropped())
+		}
+		want := append(before, added)
+		if len(after) != len(want) {
+			t.Fatalf("reopen replayed %d entries, want %d", len(after), len(want))
+		}
+		for i, w := range want {
+			g := after[i]
+			if g.Seq != w.Seq || g.Kind != w.Kind || !g.Time.Equal(w.Time) || !bytes.Equal(g.Data, w.Data) {
+				t.Fatalf("entry %d: got %+v, want %+v", i, g, w)
+			}
+			if i > 0 && g.Seq != after[i-1].Seq+1 {
+				t.Fatalf("entry %d: seq %d after %d", i, g.Seq, after[i-1].Seq)
+			}
+		}
+	})
 }

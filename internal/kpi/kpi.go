@@ -178,30 +178,6 @@ func stepUnitOf(p paramspec.Param) int {
 	return u
 }
 
-// CategoryQuality returns a [0, 1] quality signal for one parameter
-// category of one carrier: 1 when every parameter of the category sits on
-// the engineer-intended optimum, decaying as deviations accumulate. It is
-// the per-function component of the KPI degradation model above, and the
-// natural weight for the Sec 6 feedback loop: a carrier whose
-// load-balancing KPIs are degraded should carry little weight when voting
-// on load-balancing parameters.
-func (s *Simulator) CategoryQuality(id lte.CarrierID, cfg *lte.Config, cat paramspec.Category) float64 {
-	schema := s.w.Schema
-	dev := 0.0
-	for _, pi := range schema.Singular() {
-		p := schema.At(pi)
-		if p.Category != cat {
-			continue
-		}
-		d := math.Abs(cfg.Get(id, pi)-s.optimalFor(id, pi)) / (p.Step * float64(stepUnitOf(p)))
-		if d > 3 {
-			d = 3
-		}
-		dev += d
-	}
-	return 1 / (1 + dev)
-}
-
 // Score condenses a report into a single quality score in [0, 1], where 1
 // is the optimal-configuration baseline. It is the signal the feedback
 // loop optimizes.

@@ -134,39 +134,14 @@ func BenchmarkCFPredictRelaxed(b *testing.B) {
 	}
 }
 
-// BenchmarkCFPredictScoped measures the local-learner path: voting
-// restricted to a site predicate, as the engine's X2 scoping does.
-func BenchmarkCFPredictScoped(b *testing.B) {
-	for _, s := range benchScales {
-		b.Run(s.name, func(b *testing.B) {
-			skipLarge(b, s)
-			_, pair := benchTables(b, s)
-			fitted, err := New().Fit(pair)
-			if err != nil {
-				b.Fatal(err)
-			}
-			m := fitted.(*Model)
-			scope := func(site dataset.Site) bool { return site.From%2 == 0 }
-			rows := make([][]string, 64)
-			for i := range rows {
-				rows[i] = benchRow(pair, i%pair.Len())
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				m.PredictScoped(rows[i%len(rows)], scope)
-			}
-		})
-	}
-}
-
 // benchRow adapts the benchmark to the table's row accessor.
 func benchRow(t *dataset.Table, i int) []string { return t.Row(i) }
 
-// BenchmarkPredictScopedPostings measures the precomputed-scope local
-// path: the X2 neighborhood is materialized once into a sorted row list
-// (learn.SiteScoper.ScopeFrom) and joins the posting-list intersection,
-// replacing the per-candidate site callback that BenchmarkCFPredictScoped
-// pays on every row. Same voting population, same predictions.
+// BenchmarkPredictScopedPostings measures the local-learner path as the
+// engine runs it: the X2 neighborhood is materialized once into a sorted
+// row list (learn.SiteScoper.ScopeFrom) that joins the posting-list
+// intersection, and each query row is encoded once and voted through
+// PredictCodes.
 func BenchmarkPredictScopedPostings(b *testing.B) {
 	for _, s := range benchScales {
 		b.Run(s.name, func(b *testing.B) {
@@ -177,8 +152,7 @@ func BenchmarkPredictScopedPostings(b *testing.B) {
 				b.Fatal(err)
 			}
 			m := fitted.(*Model)
-			// The same population BenchmarkCFPredictScoped admits
-			// (site.From%2 == 0), precomputed as a scope.
+			// Every other From carrier, precomputed as a scope.
 			seen := map[lte.CarrierID]bool{}
 			var ids []lte.CarrierID
 			for i := 0; i < pair.Len(); i++ {
@@ -189,12 +163,14 @@ func BenchmarkPredictScopedPostings(b *testing.B) {
 			}
 			sc := m.ScopeFrom(ids)
 			rows := make([][]string, 64)
+			codes := make([][]int32, len(rows))
 			for i := range rows {
 				rows[i] = benchRow(pair, i%pair.Len())
+				codes[i] = m.EncodeRow(rows[i])
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				m.PredictScope(rows[i%len(rows)], sc)
+				m.PredictCodes(codes[i%len(rows)], rows[i%len(rows)], sc)
 			}
 		})
 	}

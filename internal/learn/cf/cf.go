@@ -17,7 +17,9 @@
 // equivalent to the string-matching formulation — a code comparison
 // succeeds iff the string comparison would — so predictions and
 // explanations are byte-identical to the naive implementation (the
-// equivalence tests in this package pin that down).
+// equivalence tests in this package pin that down). Every vote, scoped or
+// network-wide, runs the one ladder behind PredictCodes; Predict only
+// encodes the row first.
 //
 // Fit and Predict are allocation-lean: both draw their working storage
 // (count tables, gather buffers, key arenas, vote tallies) from
@@ -104,13 +106,19 @@ func init() {
 	relaxFallback = relaxationLevel.With("fallback")
 }
 
+// DefaultSupport is the paper's voting-support threshold (Sec 3.2): a
+// value held by at least 75% of the matching carriers is a supported
+// recommendation. Options.Support defaults to it, and the engine flags
+// recommendations against it.
+const DefaultSupport = 0.75
+
 // Options are the collaborative-filtering hyperparameters.
 type Options struct {
 	// Alpha is the chi-square significance level; zero means the paper's
 	// 0.01.
 	Alpha float64
-	// Support is the voting-support threshold; zero means the paper's
-	// 0.75.
+	// Support is the voting-support threshold; zero means
+	// DefaultSupport.
 	Support float64
 	// MinMatches is the minimum number of matching carriers required for
 	// a vote to count as evidence: with fewer matches the weakest
@@ -136,7 +144,7 @@ func (o Options) withDefaults() Options {
 		o.Alpha = 0.01
 	}
 	if o.Support == 0 {
-		o.Support = 0.75
+		o.Support = DefaultSupport
 	}
 	if o.MinMatches == 0 {
 		o.MinMatches = 5
@@ -492,14 +500,17 @@ func appendCode(b []byte, c int32) []byte {
 	return append(b, byte(c), byte(c>>8), byte(c>>16), byte(c>>24))
 }
 
-// Model is a fitted collaborative-filtering model. After Fit returns, a
-// Model is immutable: Predict, PredictCodes, PredictScoped, PredictScope
-// and PredictWeighted only read the fitted state (the training table, the
-// dependency ordering, the match index, the posting lists and the
-// value-share tables) and draw their working storage from a shared
-// sync.Pool, so one Model is safe for concurrent use by any number of
-// goroutines — the engine's recommendation fan-out relies on this. The
-// per-site row lists behind ScopeFrom are built lazily exactly once.
+// Model is a fitted collaborative-filtering model. It votes through one
+// entry point, PredictCodes (Predict is the learn.Model form, encoding the
+// row first): exact matching on the dependent attributes, relaxation when
+// the pool is thin, and optionally voters restricted to a ScopeFrom site
+// set. After Fit returns, a Model is immutable: prediction only reads the
+// fitted state (the training table, the dependency ordering, the match
+// index, the posting lists and the value-share tables) and draws its
+// working storage from a shared sync.Pool, so one Model is safe for
+// concurrent use by any number of goroutines — the engine's
+// recommendation fan-out relies on this. The per-site row lists behind
+// ScopeFrom are built lazily exactly once.
 //
 // Update never mutates a published Model: it produces a fresh Model
 // sharing unchanged state copy-on-write, so ingest generations coexist
@@ -583,8 +594,6 @@ type predictScratch struct {
 	inter  []int32
 	lists  [][]int32
 	counts []int
-	tally  []float64
-	scope  []int32
 }
 
 var predictScratchPool = sync.Pool{New: func() any { return new(predictScratch) }}
@@ -670,18 +679,10 @@ func (m *Model) encode(sc *predictScratch, row []string) []int32 {
 	return codes
 }
 
-// EncodesTable implements learn.CodesModel: a table sharing the model's
-// interned base stores exactly the codes EncodeRow would produce, so its
-// rows can be predicted without a string round-trip.
-func (m *Model) EncodesTable(t *dataset.Table) bool { return t != nil && t.SharesBase(m.t) }
-
 // Table returns the learning table the model was fitted over. The live
 // ingest path uses it as the extension anchor (dataset.ExtendBase) when
 // patching the model through Update; treat it as read-only.
 func (m *Model) Table() *dataset.Table { return m.t }
-
-// Live reports the number of live (non-tombstoned) training rows.
-func (m *Model) Live() int { return m.live }
 
 // EncodeRow implements learn.CodesModel: the full per-column encoding of a
 // query row against the model's base dictionaries (-1 for unseen values).
@@ -702,19 +703,32 @@ func (m *Model) AppendEncodeRow(dst []int32, row []string) []int32 {
 	return dst
 }
 
-// SharesEncoding reports whether o was fitted over the same columnar base,
-// making EncodeRow output interchangeable.
-func (m *Model) SharesEncoding(o *Model) bool { return m.t.SharesBase(o.t) }
+// Predict implements learn.Model: it encodes row's dependent columns into
+// pooled scratch and votes network-wide, exactly as PredictCodes does for
+// the same row with a nil scope.
+func (m *Model) Predict(row []string) learn.Prediction {
+	ps := predictScratchPool.Get().(*predictScratch)
+	defer putPredictScratch(ps)
+	return m.predict(ps, row, m.encode(ps, row), nil, false)
+}
 
-// PredictCodes implements learn.CodesModel. codes must come from EncodeRow
-// of a model sharing this model's encoding; sc may be nil or a Scope from
-// this model's ScopeFrom. Predictions are byte-identical to Predict /
-// PredictScope on the same row.
+// PredictCodes implements learn.CodesModel and is the model's one voting
+// entry point. codes must come from EncodeRow of a model fitted over this
+// model's columnar base; row supplies the strings the explanation quotes.
+// sc is nil for a network-wide vote, or a Scope from this model's
+// ScopeFrom restricting the voters to a site set — the paper's local
+// learner uses the 1-hop X2 neighborhood (Sec 3.3).
+//
+// Local evidence is used only when it is decisive at a relaxation level at
+// least as specific as the one the network-wide vote would settle on:
+// locality sharpens the global answer where nearby matching carriers
+// exist, and never substitutes a vaguer local pool for more specific
+// global evidence.
 func (m *Model) PredictCodes(codes []int32, row []string, sc learn.Scope) learn.Prediction {
 	rows, scoped := m.scopeRows(sc)
 	ps := predictScratchPool.Get().(*predictScratch)
 	defer putPredictScratch(ps)
-	return m.predict(ps, row, codes, rows, scoped, nil)
+	return m.predict(ps, row, codes, rows, scoped)
 }
 
 // Scope is the precomputed voting-population restriction of
@@ -742,8 +756,8 @@ func (m *Model) buildSiteRows() {
 }
 
 // ScopeFrom implements learn.SiteScoper: the union of the per-site row
-// lists of ids, sorted ascending and deduplicated — exactly the rows a
-// PredictScoped predicate testing From membership in ids would admit.
+// lists of ids, sorted ascending and deduplicated — exactly the live rows
+// whose Site.From is one of ids.
 func (m *Model) ScopeFrom(ids []lte.CarrierID) learn.Scope {
 	m.siteOnce.Do(m.buildSiteRows)
 	total := 0
@@ -768,80 +782,18 @@ func (m *Model) scopeRows(sc learn.Scope) (rows []int32, scoped bool) {
 	}
 	s, ok := sc.(*Scope)
 	if !ok || s.m != m {
-		panic("cf: PredictScope with a scope built by a different model")
+		panic("cf: PredictCodes with a scope built by a different model")
 	}
 	return s.rows, true
 }
 
-// PredictScope is a scoped prediction over a precomputed Scope from the
-// string row, byte-identical to PredictScoped with the equivalent
-// predicate but with the neighborhood intersected as a sorted row list.
-func (m *Model) PredictScope(row []string, sc learn.Scope) learn.Prediction {
-	rows, scoped := m.scopeRows(sc)
-	ps := predictScratchPool.Get().(*predictScratch)
-	defer putPredictScratch(ps)
-	codes := m.encode(ps, row)
-	return m.predict(ps, row, codes, rows, scoped, nil)
-}
-
-// Predict implements learn.Model.
-func (m *Model) Predict(row []string) learn.Prediction {
-	return m.PredictWeighted(row, nil, nil)
-}
-
-// PredictScoped is the predicate form of a scoped prediction: the voting
-// population is restricted to training samples whose site is allowed —
-// the paper's local learner uses the 1-hop X2 neighborhood (Sec 3.3).
-//
-// Local evidence is used only when it is decisive at a relaxation level at
-// least as specific as the one the network-wide vote would settle on:
-// locality sharpens the global answer where nearby matching carriers
-// exist, and never substitutes a vaguer local pool for more specific
-// global evidence.
-//
-// The predicate is evaluated once per training row to materialize the
-// scope; callers that know the allowed From carriers up front should use
-// ScopeFrom + PredictScope, which skips the scan entirely.
-func (m *Model) PredictScoped(row []string, allowed func(dataset.Site) bool) learn.Prediction {
-	return m.PredictWeighted(row, allowed, nil)
-}
-
-// PredictWeighted is PredictScoped with votes weighted by weight(site) —
-// the Sec 6 service-performance feedback loop ("provide higher weights to
-// configuration changes that have improved service performance in the
-// past"). Weights <= 0 exclude a site; a nil weight counts every site
-// equally.
-func (m *Model) PredictWeighted(row []string, allowed func(dataset.Site) bool, weight func(dataset.Site) float64) learn.Prediction {
-	ps := predictScratchPool.Get().(*predictScratch)
-	defer putPredictScratch(ps)
-	codes := m.encode(ps, row)
-	var scopeRows []int32
-	scoped := allowed != nil
-	if scoped {
-		// Materialize the predicate once as a sorted row list; the ladder
-		// then intersects it instead of re-filtering per level.
-		if cap(ps.scope) < m.t.Len() {
-			ps.scope = make([]int32, 0, m.t.Len())
-		}
-		rows := ps.scope[:0]
-		for i, s := range m.t.Sites {
-			if m.isLive(i) && allowed(s) {
-				rows = append(rows, int32(i))
-			}
-		}
-		ps.scope = rows
-		scopeRows = rows
-	}
-	return m.predict(ps, row, codes, scopeRows, scoped, weight)
-}
-
 // predict is the shared prediction core: the global relaxation ladder,
 // optionally sharpened by the scoped ladder per the Sec 3.3 rule.
-func (m *Model) predict(ps *predictScratch, row []string, codes []int32, scopeRows []int32, scoped bool, weight func(dataset.Site) float64) learn.Prediction {
+func (m *Model) predict(ps *predictScratch, row []string, codes []int32, scopeRows []int32, scoped bool) learn.Prediction {
 	qdeps := m.queryDeps(ps, codes)
-	globalP, globalLevel, globalDecisive := m.ladder(ps, codes, qdeps, nil, false, weight)
+	globalP, globalLevel, globalDecisive := m.ladder(ps, codes, qdeps, nil, false)
 	if scoped {
-		localP, localLevel, localDecisive := m.ladder(ps, codes, qdeps, scopeRows, true, weight)
+		localP, localLevel, localDecisive := m.ladder(ps, codes, qdeps, scopeRows, true)
 		if localDecisive && (!globalDecisive || localLevel <= globalLevel) {
 			return m.finish(localP, row, qdeps)
 		}
@@ -902,14 +854,14 @@ func (m *Model) finish(p learn.Prediction, row []string, qdeps []int) learn.Pred
 // (per the query's observed values, qdeps order) per level until a
 // decisive pool appears. It returns the first decisive vote and its level,
 // or (when no level is decisive) the most specific thin vote.
-func (m *Model) ladder(ps *predictScratch, codes []int32, qdeps []int, scopeRows []int32, scoped bool, weight func(dataset.Site) float64) (learn.Prediction, int, bool) {
+func (m *Model) ladder(ps *predictScratch, codes []int32, qdeps []int, scopeRows []int32, scoped bool) (learn.Prediction, int, bool) {
 	var (
 		fallback      learn.Prediction
 		fallbackLevel = -1
 	)
 	for drop := 0; drop <= len(qdeps); drop++ {
 		deps := qdeps[:len(qdeps)-drop]
-		p, decisive := m.vote(ps, codes, deps, drop == 0, scopeRows, scoped, weight, drop)
+		p, decisive := m.vote(ps, codes, deps, drop == 0, scopeRows, scoped, drop)
 		if p.Label == "" {
 			continue // no matches at this relaxation level
 		}
@@ -927,21 +879,12 @@ func (m *Model) ladder(ps *predictScratch, codes []int32, qdeps []int, scopeRows
 // whether the pool is decisive: big enough (MinMatches), or small but
 // agreeing at the support threshold with at least two carriers — the
 // rare-combination case of Sec 3.2 (few carriers, one distinctive value).
-func (m *Model) vote(ps *predictScratch, codes []int32, deps []int, full bool, scopeRows []int32, scoped bool, weight func(dataset.Site) float64, drop int) (learn.Prediction, bool) {
+func (m *Model) vote(ps *predictScratch, codes []int32, deps []int, full bool, scopeRows []int32, scoped bool, drop int) (learn.Prediction, bool) {
 	matches := m.matches(ps, codes, deps, full, scopeRows, scoped)
 	if len(matches) == 0 {
 		return learn.Prediction{}, false
 	}
-	var label string
-	var share float64
-	if weight == nil {
-		label, share = m.majorityOf(ps, matches)
-	} else {
-		label, share = m.weightedMajority(ps, matches, weight)
-		if label == "" {
-			return learn.Prediction{}, false // every match weighted out
-		}
-	}
+	label, share := m.majorityOf(ps, matches)
 	// Confidence is the voting support (the paper's 75% rule applies to
 	// it); a single witness is discounted since there is no vote at all.
 	conf := share
@@ -975,13 +918,6 @@ func (m *Model) vote(ps *predictScratch, codes []int32, deps []int, full bool, s
 	return p, decisive
 }
 
-// Supported reports whether a prediction reached the voting-support
-// threshold on the full dependent set (the strict rule of Sec 3.2).
-func (m *Model) Supported(row []string) (learn.Prediction, bool) {
-	p := m.Predict(row)
-	return p, p.Confidence >= m.opts.Support
-}
-
 // majorityOf tallies match labels into a dense per-code count array and
 // returns the most frequent label and its share. Ties break to the
 // lexicographically smallest label, matching learn.MajorityLabel.
@@ -1004,39 +940,6 @@ func (m *Model) majorityOf(ps *predictScratch, matches []int32) (string, float64
 		}
 	}
 	return m.labels[best], float64(bestN) / float64(len(matches))
-}
-
-// weightedMajority tallies match labels with per-site weights and returns
-// the heaviest label and its weight share. Ties break to the
-// lexicographically smallest label, matching learn.MajorityLabel.
-func (m *Model) weightedMajority(ps *predictScratch, matches []int32, weight func(dataset.Site) float64) (string, float64) {
-	if cap(ps.tally) < len(m.labels) {
-		ps.tally = make([]float64, len(m.labels))
-	}
-	tally := ps.tally[:len(m.labels)]
-	clear(tally)
-	total := 0.0
-	for _, idx := range matches {
-		w := weight(m.t.Sites[idx])
-		if w <= 0 {
-			continue
-		}
-		tally[m.labelCodes[idx]] += w
-		total += w
-	}
-	if total == 0 {
-		return "", 0
-	}
-	best := -1
-	for l, w := range tally {
-		if w == 0 {
-			continue
-		}
-		if best < 0 || w > tally[best] || (w == tally[best] && m.labels[l] < m.labels[best]) {
-			best = l
-		}
-	}
-	return m.labels[best], tally[best] / total
 }
 
 // matches returns the training rows matching the query codes on deps, in

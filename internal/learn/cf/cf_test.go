@@ -12,6 +12,25 @@ import (
 	"auric/internal/rng"
 )
 
+// idsWhere lists the distinct From carriers of m's training rows that
+// keep admits, in first-seen order.
+func idsWhere(m *Model, keep func(lte.CarrierID) bool) []lte.CarrierID {
+	var ids []lte.CarrierID
+	for _, id := range gatherIDs(m.t) {
+		if keep(id) {
+			ids = append(ids, id)
+		}
+	}
+	return ids
+}
+
+// predictWhere is the scoped prediction the engine makes: row encoded once
+// and the voters restricted to the training rows of the From carriers
+// keep admits.
+func predictWhere(m *Model, row []string, keep func(lte.CarrierID) bool) learn.Prediction {
+	return m.PredictCodes(m.EncodeRow(row), row, m.ScopeFrom(idsWhere(m, keep)))
+}
+
 func TestLearnsRule(t *testing.T) {
 	tb := learntest.RuleTable(500, 0, 1)
 	m, err := New().Fit(tb)
@@ -90,15 +109,15 @@ func TestSupportThreshold(t *testing.T) {
 		add("y", "k", "5", 10+i)
 	}
 	m, _ := New().Fit(tb)
-	p, supported := m.(*Model).Supported([]string{"x", "k"})
-	if p.Label != "1" || !supported {
+	p := m.Predict([]string{"x", "k"})
+	if supported := p.Confidence >= DefaultSupport; p.Label != "1" || !supported {
 		t.Errorf("80%% case: label=%q supported=%v", p.Label, supported)
 	}
 	// Make it 6/4: below threshold, still plurality but unsupported.
 	tb.Labels[6], tb.Labels[7] = "2", "2"
 	m, _ = New().Fit(tb)
-	p, supported = m.(*Model).Supported([]string{"x", "k"})
-	if p.Label != "1" || supported {
+	p = m.Predict([]string{"x", "k"})
+	if supported := p.Confidence >= DefaultSupport; p.Label != "1" || supported {
 		t.Errorf("60%% case: label=%q supported=%v, want plurality without support", p.Label, supported)
 	}
 	if !strings.Contains(p.Explanation, "below the 75% support threshold") {
@@ -145,8 +164,8 @@ func TestPredictScoped(t *testing.T) {
 	if global.Label != "20" {
 		t.Fatalf("global vote = %q, want the 2:1 majority 20", global.Label)
 	}
-	local := m.(*Model).PredictScoped([]string{"x", "k"}, func(s dataset.Site) bool {
-		return s.From < 50 // region A only
+	local := predictWhere(m.(*Model), []string{"x", "k"}, func(id lte.CarrierID) bool {
+		return id < 50 // region A only
 	})
 	if local.Label != "10" {
 		t.Errorf("scoped vote = %q, want the local value 10", local.Label)
@@ -159,7 +178,7 @@ func TestPredictScoped(t *testing.T) {
 func TestScopedEmptyFallsBackToGlobal(t *testing.T) {
 	tb := learntest.RuleTable(200, 0, 8)
 	m, _ := New().Fit(tb)
-	p := m.(*Model).PredictScoped(tb.Row(0), func(dataset.Site) bool { return false })
+	p := predictWhere(m.(*Model), tb.Row(0), func(lte.CarrierID) bool { return false })
 	if p.Label != tb.Labels[0] {
 		t.Errorf("empty scope should fall back to the global vote; got %q want %q",
 			p.Label, tb.Labels[0])
@@ -249,7 +268,7 @@ func TestPredictionDiag(t *testing.T) {
 	}
 
 	// Scoped predictions mark the diag as scoped.
-	scoped := m.(*Model).PredictScoped(tb.Row(0), func(s dataset.Site) bool { return true })
+	scoped := predictWhere(m.(*Model), tb.Row(0), func(lte.CarrierID) bool { return true })
 	if !scoped.Diag.Scoped {
 		t.Errorf("scoped prediction diag = %+v, want Scoped", scoped.Diag)
 	}

@@ -6,14 +6,16 @@ import (
 	"testing"
 
 	"auric/internal/dataset"
+	"auric/internal/lte"
 	"auric/internal/netsim"
 )
 
 // TestConcurrentPredict hammers one fitted model from 16 goroutines mixing
-// Predict and PredictScoped. Fitted models are documented read-only; run
-// under -race this proves the prediction paths (queryDeps, ladder, vote,
-// matches) never write shared state, which the engine's parallel
-// recommendation fan-out depends on.
+// Predict and scoped PredictCodes, each goroutine building its own scope
+// so the lazy per-site row lists race too. Fitted models are documented
+// read-only; run under -race this proves the prediction paths (queryDeps,
+// ladder, vote, matches, ScopeFrom) never write shared state, which the
+// engine's parallel recommendation fan-out depends on.
 func TestConcurrentPredict(t *testing.T) {
 	w := netsim.Generate(netsim.Options{Seed: 7, Markets: 2, ENodeBsPerMarket: 12})
 	pi := w.Schema.IndexOf("sFreqPrio")
@@ -26,18 +28,23 @@ func TestConcurrentPredict(t *testing.T) {
 
 	depsBefore := m.DependentColumns()
 
-	// Reference predictions computed serially; every goroutine must
-	// reproduce them exactly.
+	// Reference predictions computed serially on a second fit of the same
+	// table, so m's per-site row lists are first built under contention;
+	// every goroutine must reproduce them exactly.
 	rows := make([][]string, 24)
 	for i := range rows {
 		rows[i] = tb.Row(i)
 	}
-	scope := func(s dataset.Site) bool { return s.From%2 == 0 }
+	even := idsWhere(m, func(id lte.CarrierID) bool { return id%2 == 0 })
 	wantPlain := make([]string, len(rows))
 	wantScoped := make([]string, len(rows))
+	ref, err := Fit(tb, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i, row := range rows {
-		wantPlain[i] = m.Predict(row).Explanation
-		wantScoped[i] = m.PredictScoped(row, scope).Explanation
+		wantPlain[i] = ref.Predict(row).Explanation
+		wantScoped[i] = ref.PredictCodes(ref.EncodeRow(row), row, ref.ScopeFrom(even)).Explanation
 	}
 
 	const goroutines = 16
@@ -47,14 +54,15 @@ func TestConcurrentPredict(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
+			scope := m.ScopeFrom(even)
 			for rep := 0; rep < 20; rep++ {
 				i := (g + rep) % len(rows)
 				if got := m.Predict(rows[i]).Explanation; got != wantPlain[i] {
 					failures <- "Predict diverged under concurrency"
 					return
 				}
-				if got := m.PredictScoped(rows[i], scope).Explanation; got != wantScoped[i] {
-					failures <- "PredictScoped diverged under concurrency"
+				if got := m.PredictCodes(m.EncodeRow(rows[i]), rows[i], scope).Explanation; got != wantScoped[i] {
+					failures <- "scoped PredictCodes diverged under concurrency"
 					return
 				}
 			}

@@ -47,27 +47,27 @@ func refitReference(t *testing.T, m *Model) *Model {
 	return fitted.(*Model)
 }
 
-// assertPredictionEquivalence drives both models over the queries through
-// every prediction surface and requires full byte-identity, Diag included.
+// assertPredictionEquivalence drives both models over the queries —
+// network-wide, and scoped to the even and to the first half of the live
+// From carriers — and requires full byte-identity, Diag included.
 func assertPredictionEquivalence(t *testing.T, got, want *Model, queries [][]string, ids []lte.CarrierID) {
 	t.Helper()
-	weight := func(s dataset.Site) float64 { return float64(s.From%5) / 2 }
+	var even []lte.CarrierID
+	for _, id := range ids {
+		if id%2 == 0 {
+			even = append(even, id)
+		}
+	}
 	for qi, row := range queries {
 		if g, w := got.Predict(row), want.Predict(row); g != w {
 			t.Fatalf("query %d: Predict\n got %+v\nwant %+v", qi, g, w)
 		}
-		allowed := func(s dataset.Site) bool { return s.From%2 == 0 }
-		if g, w := got.PredictScoped(row, allowed), want.PredictScoped(row, allowed); g != w {
-			t.Fatalf("query %d: PredictScoped\n got %+v\nwant %+v", qi, g, w)
-		}
-		if g, w := got.PredictWeighted(row, allowed, weight), want.PredictWeighted(row, allowed, weight); g != w {
-			t.Fatalf("query %d: PredictWeighted\n got %+v\nwant %+v", qi, g, w)
-		}
-		sub := ids[:len(ids)/2]
-		g := got.PredictScope(row, got.ScopeFrom(sub))
-		w := want.PredictScope(row, want.ScopeFrom(sub))
-		if g != w {
-			t.Fatalf("query %d: PredictScope\n got %+v\nwant %+v", qi, g, w)
+		for _, sub := range [][]lte.CarrierID{even, ids[:len(ids)/2]} {
+			g := got.PredictCodes(got.EncodeRow(row), row, got.ScopeFrom(sub))
+			w := want.PredictCodes(want.EncodeRow(row), row, want.ScopeFrom(sub))
+			if g != w {
+				t.Fatalf("query %d: scoped PredictCodes over %d carriers\n got %+v\nwant %+v", qi, len(sub), g, w)
+			}
 		}
 	}
 }
@@ -146,7 +146,7 @@ func TestUpdateEquivalence(t *testing.T) {
 				for rep := 0; rep < 20; rep++ {
 					for _, q := range queries {
 						prev.Predict(q)
-						prev.PredictScoped(q, func(s dataset.Site) bool { return s.From%3 == 0 })
+						predictWhere(prev, q, func(id lte.CarrierID) bool { return id%3 == 0 })
 					}
 				}
 			}()

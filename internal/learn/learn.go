@@ -2,7 +2,10 @@
 // learners (Sec 3.2) and a registry of the five learners evaluated in the
 // paper: decision tree, random forest, k-nearest neighbors, deep neural
 // network, and collaborative filtering with chi-square tests of
-// independence.
+// independence. Every learner is a Model (Predict on a string row), which
+// is all the Table 4 baselines need. Collaborative filtering alone also
+// implements CodesModel and SiteScoper: one PredictCodes call over a
+// pre-encoded row, optionally scoped to the X2 neighborhood (Sec 3.3).
 package learn
 
 import (
@@ -59,10 +62,9 @@ type Diag struct {
 }
 
 // Model is a fitted per-parameter dependency model. Fitted models must be
-// read-only: Predict (and the codes variant) may not mutate
-// model state, so one model can serve concurrent predictions — the
-// engine's parallel recommendation path calls Predict on the same model
-// from multiple goroutines.
+// read-only: Predict (and PredictCodes) may not mutate model state, so one
+// model can serve concurrent predictions — the engine's parallel
+// recommendation path predicts on the same model from multiple goroutines.
 type Model interface {
 	// Predict recommends a value label for one attribute row.
 	Predict(row []string) Prediction
@@ -91,29 +93,18 @@ type Scope interface {
 
 // CodesModel is implemented by models that accept pre-encoded query rows,
 // optionally restricted to a Scope. Callers encode each attribute string
-// through the column dictionaries once and reuse the codes across
-// predictions; evaluation drivers predict straight off a table's stored
-// codes (EncodesTable).
+// through the column dictionaries once and reuse the codes across every
+// model fitted over the same columnar base.
 type CodesModel interface {
 	Model
 	// EncodeRow translates a query row into the model's code space, one
 	// code per column (-1 for values never seen in training).
 	EncodeRow(row []string) []int32
-	// AppendEncodeRow appends EncodeRow(row) to dst and returns the
-	// extended slice, for callers that batch encodings into one arena.
-	AppendEncodeRow(dst []int32, row []string) []int32
 	// PredictCodes predicts row given its precomputed encoding. codes must
-	// come from EncodeRow of a model sharing this model's encoding; row
-	// supplies the string values for explanations. sc is nil for a
+	// come from EncodeRow of a model sharing this model's columnar base;
+	// row supplies the string values for explanations. sc is nil for a
 	// network-wide vote, or a Scope from this model's ScopeFrom.
 	PredictCodes(codes []int32, row []string, sc Scope) Prediction
-	// EncodesTable reports whether codes gathered from t's columns
-	// (Table.Code) are valid PredictCodes input — true when t shares the
-	// model's interned columnar base, so the table's stored codes equal
-	// what EncodeRow would produce for the same rows. Evaluation drivers
-	// use it to predict straight off the table without re-encoding
-	// strings.
-	EncodesTable(t *dataset.Table) bool
 }
 
 // SiteScoper is implemented by codes models that can restrict the evidence
