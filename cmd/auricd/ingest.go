@@ -21,8 +21,10 @@ import (
 	"time"
 
 	"auric"
+	"auric/internal/core"
 	"auric/internal/journal"
 	"auric/internal/lte"
+	"auric/internal/obs"
 	"auric/internal/paramspec"
 	"auric/internal/snapshot"
 )
@@ -38,6 +40,10 @@ var errJournal = errors.New("journal failure")
 // applying it unjournaled would lose it on restart and journaling it
 // would make the journal unreplayable.
 var errTooLarge = errors.New("delta too large to journal")
+
+// journalStage times the journal append + fsync of every applied delta, the
+// one apply stage that runs outside ShardedEngine.Apply.
+var journalStage = core.ApplyStageSeconds.With("journal")
 
 // ingestStatus maps an applyDelta error to its HTTP status.
 func ingestStatus(err error) int {
@@ -310,7 +316,10 @@ func (s *server) applyDelta(wd wireDelta, d auric.Delta) (auric.ApplyResult, err
 		return res, err
 	}
 	if s.journal != nil {
-		if _, err := s.journal.Append("delta", data); err != nil {
+		start := time.Now()
+		_, err := s.journal.Append("delta", data)
+		obs.Since(journalStage, start)
+		if err != nil {
 			log.Printf("auricd: APPLIED DELTA NOT JOURNALED (a restart loses it): %v", err)
 			return res, fmt.Errorf("%w: append: %w", errJournal, err)
 		}

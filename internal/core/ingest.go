@@ -32,7 +32,28 @@ var (
 		"Parameter models patched in place by live ingest (no refit).")
 	ingestModelsRefit = obs.Default().Counter("auric_ingest_models_refit_total",
 		"Parameter models refit during live ingest because their chi-square dependency structure shifted.")
+
+	// ApplyStageSeconds splits one apply into its stages. Apply observes
+	// validate, inventory, config, x2, patch and swap; auricd observes
+	// journal (append + fsync) after Apply returns.
+	ApplyStageSeconds = obs.Default().HistogramVec("auric_apply_stage_seconds",
+		"Seconds per live-ingest apply stage: validate, inventory, config, x2, patch, swap (install + drain), journal (append + fsync).",
+		obs.DefBuckets, "stage")
+	stageValidate  = ApplyStageSeconds.With("validate")
+	stageInventory = ApplyStageSeconds.With("inventory")
+	stageConfig    = ApplyStageSeconds.With("config")
+	stageX2        = ApplyStageSeconds.With("x2")
+	stagePatch     = ApplyStageSeconds.With("patch")
+	stageSwap      = ApplyStageSeconds.With("swap")
 )
+
+// lap observes the time since start on a stage histogram and returns now,
+// the start of the next stage.
+func lap(h *obs.Histogram, start time.Time) time.Time {
+	now := time.Now()
+	h.Observe(now.Sub(start).Seconds())
+	return now
+}
 
 // PairValues carries pair-wise parameter values for one directed relation of
 // an upserted carrier.
@@ -104,7 +125,8 @@ type marketDelta struct {
 func (se *ShardedEngine) Apply(d Delta) (ApplyResult, error) {
 	se.loadMu.Lock()
 	defer se.loadMu.Unlock()
-	defer obs.Since(ingestApplySeconds, time.Now())
+	t := time.Now()
+	defer obs.Since(ingestApplySeconds, t)
 	cur := se.state.Load()
 	if cur == nil {
 		return ApplyResult{}, fmt.Errorf("core: sharded engine not loaded")
@@ -123,6 +145,7 @@ func (se *ShardedEngine) Apply(d Delta) (ApplyResult, error) {
 	if err != nil {
 		return ApplyResult{}, err
 	}
+	t = lap(stageValidate, t)
 
 	// Copy-on-write inventory: carriers and eNodeBs are fresh slices, and
 	// only eNodeB carrier lists the delta touches are cloned. Tombstoned
@@ -170,6 +193,14 @@ func (se *ShardedEngine) Apply(d Delta) (ApplyResult, error) {
 	if err := net2.Validate(); err != nil {
 		return ApplyResult{}, fmt.Errorf("core: delta produced an inconsistent network: %w", err)
 	}
+	dead2 := make(map[lte.CarrierID]bool, len(cur.dead)+len(tombs))
+	for id := range cur.dead {
+		dead2[id] = true
+	}
+	for _, id := range tombs {
+		dead2[id] = true
+	}
+	t = lap(stageInventory, t)
 
 	cfg2 := cur.cfg.Clone()
 	cfg2.Grow(len(carriers) - oldLen)
@@ -185,19 +216,13 @@ func (se *ShardedEngine) Apply(d Delta) (ApplyResult, error) {
 			}
 		}
 	}
-
-	dead2 := make(map[lte.CarrierID]bool, len(cur.dead)+len(tombs))
-	for id := range cur.dead {
-		dead2[id] = true
-	}
-	for _, id := range tombs {
-		dead2[id] = true
-	}
+	t = lap(stageConfig, t)
 
 	// X2 adjacency is strictly intra-market, so a full deterministic rebuild
 	// changes only the affected markets' neighbor lists; every other
 	// market's shard carries over untouched below.
 	x22 := geo.BuildX2(net2, se.opts.X2)
+	t = lap(stageX2, t)
 
 	changed := make(map[lte.CarrierID]bool, len(assigned)+len(tombs))
 	for _, id := range assigned {
@@ -234,7 +259,9 @@ func (se *ShardedEngine) Apply(d Delta) (ApplyResult, error) {
 
 	ingestModelsPatched.Add(uint64(res.Patched))
 	ingestModelsRefit.Add(uint64(res.Refit))
+	t = lap(stagePatch, t)
 	se.install(&shardState{gen: res.Generation, net: net2, x2: x22, cfg: cfg2, dead: dead2, shards: shards})
+	lap(stageSwap, t)
 	if o := se.observer(); o != nil {
 		o.ObserveApply(res.Generation, net2, assigned, tombs)
 	}

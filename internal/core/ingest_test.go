@@ -297,6 +297,43 @@ func checkIngestEquivalence(t *testing.T, w *netsim.World, steps int, r deltaCho
 	return totalPatched, totalRefit
 }
 
+// TestApplyStageTimings requires one Apply to observe each of its stages in
+// auric_apply_stage_seconds exactly once, and a stage sum no larger than
+// the apply total it splits.
+func TestApplyStageTimings(t *testing.T) {
+	_, se := shardedWorld(t, 2)
+	net, cfg, _, _, err := se.SnapshotState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, x2, _, err := se.Inventory()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stages := []string{"validate", "inventory", "config", "x2", "patch", "swap"}
+	count := func() (counts []uint64, stageSum, total float64) {
+		for _, s := range stages {
+			h := ApplyStageSeconds.With(s)
+			counts = append(counts, h.Count())
+			stageSum += h.Sum()
+		}
+		return counts, stageSum, ingestApplySeconds.Sum()
+	}
+	before, sum0, total0 := count()
+	if _, err := se.Apply(Delta{Upserts: []Upsert{donorUpsert(se.Schema(), net, x2, cfg, 5)}}); err != nil {
+		t.Fatal(err)
+	}
+	after, sum1, total1 := count()
+	for i, s := range stages {
+		if after[i] != before[i]+1 {
+			t.Errorf("stage %s: count advanced by %d, want 1", s, after[i]-before[i])
+		}
+	}
+	if stageSum, total := sum1-sum0, total1-total0; stageSum <= 0 || stageSum > total {
+		t.Errorf("stage seconds sum to %g, want in (0, %g] (the apply total)", stageSum, total)
+	}
+}
+
 // TestIngestValidation pins the per-delta error surface: every malformed
 // item is rejected with the serving state untouched.
 func TestIngestValidation(t *testing.T) {
