@@ -494,7 +494,8 @@ func journalGauges(t *testing.T, s *server, ctx string, wantLag float64) {
 
 // TestJournalGaugeFreshness: the journal gauges must track reality through
 // every path that moves the journal — ingest appends, HTTP compaction,
-// crash replay on restart, and post-restart compaction. A stale
+// crash replay on restart, and post-restart compaction — and every append
+// is timed as the journal apply stage. A stale
 // auric_journal_lag_ops misreports the replay a restart would pay, which
 // is the one number the compaction runbook pages on.
 func TestJournalGaugeFreshness(t *testing.T) {
@@ -507,11 +508,15 @@ func TestJournalGaugeFreshness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	appends := journalStage.Count()
 	mustIngest(t, s, donorItem(net0, 0))
 	mustIngest(t, s, donorItem(net0, 1))
 	journalGauges(t, s, "after two ingests", 2)
 	if s.journalBytes.Value() == 0 {
 		t.Fatal("auric_journal_bytes still 0 after two appended deltas")
+	}
+	if n := journalStage.Count() - appends; n != 2 {
+		t.Fatalf(`auric_apply_stage_seconds{stage="journal"} observed %d appends for two ingests, want 2`, n)
 	}
 
 	rec := httptest.NewRecorder()

@@ -123,7 +123,21 @@ func BenchmarkRecommendColdAllocs(b *testing.B) {
 // reload the incremental path replaces — for the speedup EXPERIMENTS.md
 // tracks.
 func BenchmarkIngestUpsert(b *testing.B) {
-	w := benchWorld(b)
+	benchIngestUpsert(b, benchWorld(b))
+}
+
+// BenchmarkIngestUpsertWorld is BenchmarkIngestUpsert over the perfbench
+// world: the paper's 28 markets at 30 eNodeBs each (6,498 carriers, 57,795
+// relations). A delta touches one market, so the cost that grows with the
+// other 27 is what this case shows. Skipped under -short.
+func BenchmarkIngestUpsertWorld(b *testing.B) {
+	if testing.Short() {
+		b.Skip("near-paper scale; skipped under -short")
+	}
+	benchIngestUpsert(b, netsim.Generate(netsim.Options{Seed: 1, Markets: 28, ENodeBsPerMarket: 30}))
+}
+
+func benchIngestUpsert(b *testing.B, w *netsim.World) {
 	se := NewSharded(w.Schema, Options{Workers: 1})
 	if _, err := se.Load(w.Net, w.X2, w.Current); err != nil {
 		b.Fatal(err)

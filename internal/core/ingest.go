@@ -2,11 +2,15 @@ package core
 
 // Live carrier ingest: ShardedEngine.Apply absorbs upserts and tombstones
 // into a new serving generation without retraining. The delta is validated
-// against the current inventory, the network / configuration / X2 graph are
-// rebuilt copy-on-write, and only the affected markets' parameter models are
-// touched — each one patched in place through cf.Model.Update (or refit for
-// that single parameter when its dependency structure shifts). Untouched
-// markets carry their fitted models into the new generation by reference.
+// against the current inventory, and the new generation shares what the
+// delta leaves alone: the network copies its carrier and eNodeB slices but
+// clones only the touched eNodeBs' carrier lists; the configuration is an
+// lte.Config Clone, which copies only the carrier rows the delta writes; and
+// the X2 graph recomputes only the touched markets' neighbor lists. Only the
+// affected markets' parameter models are touched — each one patched in
+// place through cf.Model.Update (or refit for that single parameter when its
+// dependency structure shifts). Untouched markets carry their fitted models
+// into the new generation by reference.
 // The generation swap and drain reuse Load's machinery, so readers of the
 // retiring generation finish undisturbed and Apply is atomic: on any error
 // the serving state is exactly what it was.
@@ -218,19 +222,22 @@ func (se *ShardedEngine) Apply(d Delta) (ApplyResult, error) {
 	}
 	t = lap(stageConfig, t)
 
-	// X2 adjacency is strictly intra-market, so a full deterministic rebuild
-	// changes only the affected markets' neighbor lists; every other
-	// market's shard carries over untouched below.
-	x22 := geo.BuildX2(net2, se.opts.X2)
+	// X2 adjacency is strictly intra-market and Apply never adds, moves or
+	// re-markets an eNodeB, so only the touched markets' carrier neighbor
+	// lists can change; the rest of the graph is shared with the old one.
+	changed := make(map[lte.CarrierID]bool, len(assigned)+len(tombs))
+	var markets []int
+	for _, ids := range [][]lte.CarrierID{assigned, tombs} {
+		for _, id := range ids {
+			changed[id] = true
+			if m := net2.Carriers[id].Market; !slices.Contains(markets, m) {
+				markets = append(markets, m)
+			}
+		}
+	}
+	x22 := cur.x2.RebuildMarkets(net2, markets, se.opts.X2)
 	t = lap(stageX2, t)
 
-	changed := make(map[lte.CarrierID]bool, len(assigned)+len(tombs))
-	for _, id := range assigned {
-		changed[id] = true
-	}
-	for _, id := range tombs {
-		changed[id] = true
-	}
 	mds := se.marketDeltas(cur, net2, x22, assigned, tombs, changed, dead2, oldLen)
 
 	// Patch the affected markets; rebind the rest onto the new inventory

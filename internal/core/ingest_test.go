@@ -13,6 +13,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -265,6 +266,7 @@ func checkIngestEquivalence(t *testing.T, w *netsim.World, steps int, r deltaCho
 		if err != nil {
 			t.Fatal(err)
 		}
+		assertX2Rebuilt(t, step, net2, x22, opts.X2)
 		// Query a spread of live carriers plus everything this delta touched.
 		queries := append([]lte.CarrierID{}, res.Assigned...)
 		live = liveCarriers(t, se)
@@ -295,6 +297,30 @@ func checkIngestEquivalence(t *testing.T, w *netsim.World, steps int, r deltaCho
 		}
 	}
 	return totalPatched, totalRefit
+}
+
+// assertX2Rebuilt requires the served X2 graph, which Apply rebuilds only
+// for the markets a delta touches, to equal a full BuildX2 over the served
+// network: every carrier's and every eNodeB's neighbor list.
+func assertX2Rebuilt(t *testing.T, step int, net *lte.Network, got *geo.Graph, opts geo.Options) {
+	t.Helper()
+	want := geo.BuildX2(net, opts)
+	if got.NumCarriers() != want.NumCarriers() || got.NumENodeBs() != want.NumENodeBs() {
+		t.Fatalf("step %d: served X2 graph covers %d carriers / %d eNodeBs, BuildX2 %d / %d",
+			step, got.NumCarriers(), got.NumENodeBs(), want.NumCarriers(), want.NumENodeBs())
+	}
+	for i := 0; i < want.NumCarriers(); i++ {
+		id := lte.CarrierID(i)
+		if g, w := got.CarrierNeighbors(id), want.CarrierNeighbors(id); !slices.Equal(g, w) {
+			t.Fatalf("step %d: carrier %d neighbors %v, BuildX2 %v", step, id, g, w)
+		}
+	}
+	for i := 0; i < want.NumENodeBs(); i++ {
+		id := lte.ENodeBID(i)
+		if g, w := got.ENodeBNeighbors(id), want.ENodeBNeighbors(id); !slices.Equal(g, w) {
+			t.Fatalf("step %d: eNodeB %d neighbors %v, BuildX2 %v", step, id, g, w)
+		}
+	}
 }
 
 // TestApplyStageTimings requires one Apply to observe each of its stages in

@@ -10,7 +10,9 @@
 package geo
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -74,8 +76,33 @@ func BuildX2(n *lte.Network, opts Options) *Graph {
 		carrier: make([][]lte.CarrierID, len(n.Carriers)),
 	}
 	g.buildENodeBAdjacency(n, opts)
-	g.buildCarrierAdjacency(n, opts)
+	for i := range n.Carriers {
+		g.carrier[i] = g.carrierNeighbors(n, lte.CarrierID(i), opts)
+	}
 	return g
+}
+
+// RebuildMarkets returns the X2 graph of n, a network that differs from the
+// one g was built over only in the carriers of the listed markets: carriers
+// there may be added, replaced, or moved between eNodeBs of their market,
+// while every eNodeB keeps its id, position and market. Because X2 is
+// intra-market, the result shares g's eNodeB adjacency and the neighbor
+// lists of every other market's carriers, and recomputes only the listed
+// markets' (and new carriers') lists — the same lists BuildX2(n, opts)
+// derives. opts must be the options g was built with.
+func (g *Graph) RebuildMarkets(n *lte.Network, markets []int, opts Options) *Graph {
+	if len(n.ENodeBs) != len(g.enb) {
+		panic(fmt.Sprintf("geo: RebuildMarkets over %d eNodeBs, graph has %d", len(n.ENodeBs), len(g.enb)))
+	}
+	opts = opts.withDefaults()
+	out := &Graph{enb: g.enb, carrier: make([][]lte.CarrierID, len(n.Carriers))}
+	copy(out.carrier, g.carrier)
+	for i := range n.Carriers {
+		if i >= len(g.carrier) || slices.Contains(markets, n.Carriers[i].Market) {
+			out.carrier[i] = out.carrierNeighbors(n, lte.CarrierID(i), opts)
+		}
+	}
+	return out
 }
 
 // buildENodeBAdjacency bins eNodeBs into a uniform grid with cells of the
@@ -136,35 +163,37 @@ func (g *Graph) buildENodeBAdjacency(n *lte.Network, opts Options) {
 	}
 }
 
-func (g *Graph) buildCarrierAdjacency(n *lte.Network, opts Options) {
-	for i := range n.Carriers {
-		c := &n.Carriers[i]
-		var out []lte.CarrierID
-		// Inter-frequency co-sited carriers on the same eNodeB.
-		for _, other := range n.ENodeBs[c.ENodeB].Carriers {
-			if other == c.ID {
-				continue
-			}
-			if n.Carriers[other].FrequencyMHz != c.FrequencyMHz {
+// carrierNeighbors derives one carrier's neighbor list from the eNodeB
+// adjacency: the other-frequency carriers co-sited on its eNodeB, then the
+// same-frequency carriers on its X2-adjacent eNodeBs, capped at
+// MaxCarrierNeighbors.
+func (g *Graph) carrierNeighbors(n *lte.Network, id lte.CarrierID, opts Options) []lte.CarrierID {
+	c := &n.Carriers[id]
+	var out []lte.CarrierID
+	// Inter-frequency co-sited carriers on the same eNodeB.
+	for _, other := range n.ENodeBs[c.ENodeB].Carriers {
+		if other == c.ID {
+			continue
+		}
+		if n.Carriers[other].FrequencyMHz != c.FrequencyMHz {
+			out = append(out, other)
+		}
+	}
+	// Intra-frequency carriers on X2-adjacent eNodeBs.
+	for _, enb := range g.enb[c.ENodeB] {
+		for _, other := range n.ENodeBs[enb].Carriers {
+			if n.Carriers[other].FrequencyMHz == c.FrequencyMHz {
 				out = append(out, other)
 			}
 		}
-		// Intra-frequency carriers on X2-adjacent eNodeBs.
-		for _, enb := range g.enb[c.ENodeB] {
-			for _, other := range n.ENodeBs[enb].Carriers {
-				if n.Carriers[other].FrequencyMHz == c.FrequencyMHz {
-					out = append(out, other)
-				}
-			}
-			if len(out) >= opts.MaxCarrierNeighbors*2 {
-				break
-			}
+		if len(out) >= opts.MaxCarrierNeighbors*2 {
+			break
 		}
-		if len(out) > opts.MaxCarrierNeighbors {
-			out = out[:opts.MaxCarrierNeighbors]
-		}
-		g.carrier[i] = out
 	}
+	if len(out) > opts.MaxCarrierNeighbors {
+		out = out[:opts.MaxCarrierNeighbors]
+	}
+	return out
 }
 
 // ENodeBNeighbors returns the X2-adjacent eNodeBs of id (nearest first).

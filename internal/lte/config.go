@@ -2,6 +2,8 @@ package lte
 
 import (
 	"fmt"
+	"slices"
+	"sync/atomic"
 
 	"auric/internal/paramspec"
 )
@@ -14,6 +16,14 @@ type EdgeKey struct {
 // Config holds a full configuration snapshot for a network: one value per
 // (carrier, singular parameter) and one per (carrier, neighbor, pair-wise
 // parameter). Values are always on the parameter's grid.
+//
+// Values are stored per carrier: a row of singular values, and a row of
+// outgoing relations sorted by neighbor id with their pair-wise values.
+// Clone is copy-on-write: it copies only the two outer per-carrier slices,
+// and the first write to a carrier's row afterwards, on either copy, copies
+// that one row. Reads never write, so any number of goroutines may read a
+// Config, or Clone it, at the same time; a write needs the written Config
+// to itself, but not its clones.
 type Config struct {
 	schema *paramspec.Schema
 	// kindPos maps schema parameter index -> position within its kind's
@@ -21,9 +31,37 @@ type Config struct {
 	kindPos     []int
 	numSingular int
 	numPairWise int
-	singular    [][]float64           // [carrier][singular pos]
-	pair        map[EdgeKey][]float64 // [edge][pairwise pos]
+	// singMin and pairMin are the initial value rows: every parameter of
+	// the kind at its Min.
+	singMin, pairMin []float64
+
+	singular []valueRow    // [carrier]
+	pair     []relationRow // [carrier]
+	numEdges int
+
+	// epoch names the Config as the owner of the rows stamped with it; a
+	// row with any other stamp is shared and is copied before a write.
+	// Clone moves both copies to fresh epochs, so every row either holds
+	// becomes shared. It is atomic because concurrent Clones of one source
+	// all store it.
+	epoch atomic.Uint64
 }
+
+// valueRow is one carrier's singular values.
+type valueRow struct {
+	v   []float64 // [singular pos]
+	own uint64    // epoch of the Config that may write v in place
+}
+
+// relationRow is one carrier's outgoing relations.
+type relationRow struct {
+	to  []CarrierID // ascending
+	v   []float64   // [relation index * numPairWise + pairwise pos]
+	own uint64      // epoch of the Config that may write to and v in place
+}
+
+// epochs hands out Config epochs; each is used by one Config only.
+var epochs atomic.Uint64
 
 // NewConfig allocates a configuration snapshot for numCarriers carriers
 // under the given schema. All values start at each parameter's Min.
@@ -31,33 +69,21 @@ func NewConfig(schema *paramspec.Schema, numCarriers int) *Config {
 	c := &Config{
 		schema:  schema,
 		kindPos: make([]int, schema.Len()),
-		pair:    make(map[EdgeKey][]float64),
 	}
 	for i := 0; i < schema.Len(); i++ {
-		if schema.At(i).Kind == paramspec.Singular {
+		p := schema.At(i)
+		if p.Kind == paramspec.Singular {
 			c.kindPos[i] = c.numSingular
 			c.numSingular++
+			c.singMin = append(c.singMin, p.Min)
 		} else {
 			c.kindPos[i] = c.numPairWise
 			c.numPairWise++
+			c.pairMin = append(c.pairMin, p.Min)
 		}
 	}
-	c.singular = make([][]float64, numCarriers)
-	backing := make([]float64, numCarriers*c.numSingular)
-	for i := range c.singular {
-		c.singular[i] = backing[i*c.numSingular : (i+1)*c.numSingular]
-	}
-	// Initialize to each parameter's minimum so every stored value is valid.
-	for i := 0; i < schema.Len(); i++ {
-		p := schema.At(i)
-		if p.Kind != paramspec.Singular {
-			continue
-		}
-		pos := c.kindPos[i]
-		for j := range c.singular {
-			c.singular[j][pos] = p.Min
-		}
-	}
+	c.epoch.Store(epochs.Add(1))
+	c.Grow(numCarriers)
 	return c
 }
 
@@ -68,15 +94,16 @@ func (c *Config) Schema() *paramspec.Schema { return c.schema }
 // singular values start at each parameter's Min. It is used when new
 // carriers are integrated into a live network (the launch workflow).
 func (c *Config) Grow(n int) {
+	own := c.epoch.Load()
+	ns := c.numSingular
+	backing := make([]float64, n*ns)
+	c.singular = slices.Grow(c.singular, n)
 	for i := 0; i < n; i++ {
-		row := make([]float64, c.numSingular)
-		for j := 0; j < c.schema.Len(); j++ {
-			if p := c.schema.At(j); p.Kind == paramspec.Singular {
-				row[c.kindPos[j]] = p.Min
-			}
-		}
-		c.singular = append(c.singular, row)
+		row := backing[i*ns : (i+1)*ns : (i+1)*ns]
+		copy(row, c.singMin)
+		c.singular = append(c.singular, valueRow{v: row, own: own})
 	}
+	c.pair = append(c.pair, make([]relationRow, n)...)
 }
 
 // NumCarriers reports the number of carriers the config covers.
@@ -86,70 +113,97 @@ func (c *Config) NumCarriers() int { return len(c.singular) }
 // carrier.
 func (c *Config) Get(id CarrierID, param int) float64 {
 	c.mustKind(param, paramspec.Singular)
-	return c.singular[id][c.kindPos[param]]
+	return c.singular[id].v[c.kindPos[param]]
 }
 
 // Set stores the value of singular parameter param on the carrier,
 // quantizing it to the parameter grid.
 func (c *Config) Set(id CarrierID, param int, v float64) {
 	c.mustKind(param, paramspec.Singular)
-	c.singular[id][c.kindPos[param]] = c.schema.At(param).Quantize(v)
+	r := &c.singular[id]
+	if own := c.epoch.Load(); r.own != own {
+		r.v = slices.Clone(r.v)
+		r.own = own
+	}
+	r.v[c.kindPos[param]] = c.schema.At(param).Quantize(v)
 }
 
 // GetPair returns the value of pair-wise parameter param on the directed
 // carrier→neighbor relation, and whether the relation has been configured.
 func (c *Config) GetPair(from, to CarrierID, param int) (float64, bool) {
 	c.mustKind(param, paramspec.PairWise)
-	row, ok := c.pair[EdgeKey{from, to}]
+	if from < 0 || int(from) >= len(c.pair) {
+		return 0, false
+	}
+	r := &c.pair[from]
+	i, ok := slices.BinarySearch(r.to, to)
 	if !ok {
 		return 0, false
 	}
-	return row[c.kindPos[param]], true
+	return r.v[i*c.numPairWise+c.kindPos[param]], true
 }
 
 // SetPair stores the value of pair-wise parameter param on the directed
-// carrier→neighbor relation, creating the relation row on first use. New
-// rows start with every pair-wise parameter at its Min.
+// carrier→neighbor relation, creating the relation on first use. New
+// relations start with every pair-wise parameter at its Min. The from
+// carrier must be covered by the config.
 func (c *Config) SetPair(from, to CarrierID, param int, v float64) {
 	c.mustKind(param, paramspec.PairWise)
-	key := EdgeKey{from, to}
-	row, ok := c.pair[key]
-	if !ok {
-		row = make([]float64, c.numPairWise)
-		for i := 0; i < c.schema.Len(); i++ {
-			p := c.schema.At(i)
-			if p.Kind == paramspec.PairWise {
-				row[c.kindPos[i]] = p.Min
-			}
-		}
-		c.pair[key] = row
+	r := &c.pair[from]
+	np := c.numPairWise
+	i, ok := slices.BinarySearch(r.to, to)
+	switch own := c.epoch.Load(); {
+	case !ok:
+		// A new relation rebuilds the row, owned by c and sized exactly:
+		// append's doubling would leave up to half of every row unused.
+		nto := make([]CarrierID, len(r.to)+1)
+		copy(nto, r.to[:i])
+		nto[i] = to
+		copy(nto[i+1:], r.to[i:])
+		nv := make([]float64, len(r.v)+np)
+		copy(nv, r.v[:i*np])
+		copy(nv[i*np:], c.pairMin)
+		copy(nv[(i+1)*np:], r.v[i*np:])
+		*r = relationRow{to: nto, v: nv, own: own}
+		c.numEdges++
+	case r.own != own:
+		r.to, r.v, r.own = slices.Clone(r.to), slices.Clone(r.v), own
 	}
-	row[c.kindPos[param]] = c.schema.At(param).Quantize(v)
+	r.v[i*np+c.kindPos[param]] = c.schema.At(param).Quantize(v)
 }
 
-// Edges returns all configured directed relations in unspecified order.
+// Edges returns all configured directed relations in ascending (From, To)
+// order.
 func (c *Config) Edges() []EdgeKey {
-	out := make([]EdgeKey, 0, len(c.pair))
-	for k := range c.pair {
-		out = append(out, k)
+	out := make([]EdgeKey, 0, c.numEdges)
+	for from := range c.pair {
+		for _, to := range c.pair[from].to {
+			out = append(out, EdgeKey{CarrierID(from), to})
+		}
 	}
 	return out
 }
 
 // NumEdges reports the number of configured directed relations.
-func (c *Config) NumEdges() int { return len(c.pair) }
+func (c *Config) NumEdges() int { return c.numEdges }
 
-// Clone returns a deep copy of the configuration.
+// Clone returns a copy of the configuration that shares every carrier's
+// row with c until either side writes it (see Config). It allocates the
+// two outer per-carrier slices and nothing per row or relation.
 func (c *Config) Clone() *Config {
-	out := NewConfig(c.schema, len(c.singular))
-	for i := range c.singular {
-		copy(out.singular[i], c.singular[i])
+	out := &Config{
+		schema:      c.schema,
+		kindPos:     c.kindPos,
+		numSingular: c.numSingular,
+		numPairWise: c.numPairWise,
+		singMin:     c.singMin,
+		pairMin:     c.pairMin,
+		singular:    slices.Clone(c.singular),
+		pair:        slices.Clone(c.pair),
+		numEdges:    c.numEdges,
 	}
-	for k, row := range c.pair {
-		r := make([]float64, len(row))
-		copy(r, row)
-		out.pair[k] = r
-	}
+	out.epoch.Store(epochs.Add(1))
+	c.epoch.Store(epochs.Add(1))
 	return out
 }
 
@@ -159,7 +213,7 @@ func (c *Config) CarrierValues(id CarrierID) map[string]float64 {
 	out := make(map[string]float64, c.numSingular)
 	for i := 0; i < c.schema.Len(); i++ {
 		if c.schema.At(i).Kind == paramspec.Singular {
-			out[c.schema.At(i).Name] = c.singular[id][c.kindPos[i]]
+			out[c.schema.At(i).Name] = c.singular[id].v[c.kindPos[i]]
 		}
 	}
 	return out

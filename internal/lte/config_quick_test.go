@@ -111,3 +111,119 @@ func TestConfigGrowProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// refConfig is the reference model of one Config: plain maps, copied whole
+// on Clone.
+type refConfig struct {
+	n    int
+	sing map[[2]int]float64          // (carrier, param) -> value; absent = Min
+	pair map[EdgeKey]map[int]float64 // relation -> param -> value; absent = Min
+}
+
+func (r *refConfig) clone() *refConfig {
+	out := &refConfig{n: r.n, sing: make(map[[2]int]float64), pair: make(map[EdgeKey]map[int]float64)}
+	for k, v := range r.sing {
+		out.sing[k] = v
+	}
+	for k, row := range r.pair {
+		out.pair[k] = make(map[int]float64)
+		for pi, v := range row {
+			out.pair[k][pi] = v
+		}
+	}
+	return out
+}
+
+// Property: any sequence of Set, SetPair, Grow and Clone over a family of
+// configs leaves every config holding exactly what its reference model
+// holds — Clone's shared rows never let a write reach another copy — and
+// Edges lists relations in ascending (From, To) order.
+func TestConfigReferenceModel(t *testing.T) {
+	schema := paramspec.NewSchema([]paramspec.Param{
+		{Name: "s0", Kind: paramspec.Singular, Min: 0, Max: 4, Step: 1},
+		{Name: "p0", Kind: paramspec.PairWise, Min: -2, Max: 2, Step: 0.5},
+		{Name: "s1", Kind: paramspec.Singular, Min: 10, Max: 20, Step: 2},
+		{Name: "p1", Kind: paramspec.PairWise, Min: 0, Max: 3, Step: 1},
+	})
+	check := func(cfg *Config, ref *refConfig) bool {
+		if cfg.NumCarriers() != ref.n || cfg.NumEdges() != len(ref.pair) {
+			return false
+		}
+		for id := 0; id < ref.n; id++ {
+			for _, pi := range schema.Singular() {
+				want, ok := ref.sing[[2]int{id, pi}]
+				if !ok {
+					want = schema.At(pi).Min
+				}
+				if cfg.Get(CarrierID(id), pi) != want {
+					return false
+				}
+			}
+		}
+		edges := cfg.Edges()
+		for i, e := range edges {
+			if i > 0 && (e.From < edges[i-1].From || e.From == edges[i-1].From && e.To <= edges[i-1].To) {
+				return false // not in ascending (From, To) order
+			}
+			row, ok := ref.pair[e]
+			if !ok {
+				return false
+			}
+			for _, pi := range schema.PairWise() {
+				want, set := row[pi]
+				if !set {
+					want = schema.At(pi).Min
+				}
+				if got, ok := cfg.GetPair(e.From, e.To, pi); !ok || got != want {
+					return false
+				}
+			}
+		}
+		return len(edges) == len(ref.pair)
+	}
+	f := func(ops []uint32) bool {
+		cfgs := []*Config{NewConfig(schema, 4)}
+		refs := []*refConfig{{n: 4, sing: map[[2]int]float64{}, pair: map[EdgeKey]map[int]float64{}}}
+		for _, op := range ops {
+			k := int(op>>8) % len(cfgs)
+			cfg, ref := cfgs[k], refs[k]
+			a, b := int(op>>16)%ref.n, int(op>>24)%ref.n
+			lvl := int(op >> 4 & 0xf)
+			switch op % 4 {
+			case 0:
+				pi := schema.Singular()[lvl%2]
+				v := schema.At(pi).ValueAt(lvl % schema.At(pi).Levels())
+				cfg.Set(CarrierID(a), pi, v)
+				ref.sing[[2]int{a, pi}] = v
+			case 1:
+				pi := schema.PairWise()[lvl%2]
+				v := schema.At(pi).ValueAt(lvl % schema.At(pi).Levels())
+				cfg.SetPair(CarrierID(a), CarrierID(b), pi, v)
+				e := EdgeKey{CarrierID(a), CarrierID(b)}
+				if ref.pair[e] == nil {
+					ref.pair[e] = map[int]float64{}
+				}
+				ref.pair[e][pi] = v
+			case 2:
+				if ref.n < 12 {
+					cfg.Grow(1)
+					ref.n++
+				}
+			case 3:
+				if len(cfgs) < 6 {
+					cfgs = append(cfgs, cfg.Clone())
+					refs = append(refs, ref.clone())
+				}
+			}
+			for i := range cfgs {
+				if !check(cfgs[i], refs[i]) {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+}

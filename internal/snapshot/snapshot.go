@@ -382,6 +382,10 @@ func ReadFull(r io.Reader) (*lte.Network, *lte.Config, []lte.CarrierID, int64, e
 	}
 	pairIdx := schema.PairWise()
 	for _, pv := range in.Pairs {
+		if pv.From < 0 || int(pv.From) >= len(net.Carriers) || pv.To < 0 || int(pv.To) >= len(net.Carriers) {
+			return nil, nil, nil, 0, fmt.Errorf("snapshot: relation %d->%d outside the %d carriers",
+				pv.From, pv.To, len(net.Carriers))
+		}
 		if len(pv.Values) != len(pairIdx) {
 			return nil, nil, nil, 0, fmt.Errorf("snapshot: relation %d->%d has %d values, want %d",
 				pv.From, pv.To, len(pv.Values), len(pairIdx))

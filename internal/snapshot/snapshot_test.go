@@ -79,6 +79,38 @@ func TestReadRejectsBadInput(t *testing.T) {
 	if _, _, err := Read(strings.NewReader(s)); err != nil {
 		t.Fatalf("clean snapshot rejected: %v", err)
 	}
+	// A relation from or to a carrier the snapshot does not have.
+	for _, end := range []string{"from", "to"} {
+		var doc map[string]any
+		if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+			t.Fatal(err)
+		}
+		doc["pairs"].([]any)[0].(map[string]any)[end] = len(w.Net.Carriers)
+		bad, err := json.Marshal(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := Read(bytes.NewReader(bad)); err == nil || !strings.Contains(err.Error(), "outside") {
+			t.Errorf("relation %s an unknown carrier: err = %v", end, err)
+		}
+	}
+}
+
+// TestWriteDeterministic requires two Writes of one network and
+// configuration to produce identical bytes: relations are written in
+// (From, To) order, not map order.
+func TestWriteDeterministic(t *testing.T) {
+	w := netsim.Generate(netsim.Options{Seed: 17, Markets: 2, ENodeBsPerMarket: 10})
+	var a, b bytes.Buffer
+	if err := Write(&a, w.Net, w.Current); err != nil {
+		t.Fatal(err)
+	}
+	if err := Write(&b, w.Net, w.Current); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Fatalf("two Writes of one snapshot differ (%d vs %d bytes)", a.Len(), b.Len())
+	}
 }
 
 func TestLoadMissingFile(t *testing.T) {
