@@ -225,20 +225,23 @@ func (se *ShardedEngine) Apply(d Delta) (ApplyResult, error) {
 	// X2 adjacency is strictly intra-market and Apply never adds, moves or
 	// re-markets an eNodeB, so only the touched markets' carrier neighbor
 	// lists can change; the rest of the graph is shared with the old one.
+	mds := marketDeltas(net2, assigned, tombs, oldLen)
+	markets := make([]int, 0, len(mds))
+	for m := range mds {
+		markets = append(markets, m)
+	}
+	x22 := cur.x2.RebuildMarkets(net2, markets)
+	t = lap(stageX2, t)
+
 	changed := make(map[lte.CarrierID]bool, len(assigned)+len(tombs))
-	var markets []int
 	for _, ids := range [][]lte.CarrierID{assigned, tombs} {
 		for _, id := range ids {
 			changed[id] = true
-			if m := net2.Carriers[id].Market; !slices.Contains(markets, m) {
-				markets = append(markets, m)
-			}
 		}
 	}
-	x22 := cur.x2.RebuildMarkets(net2, markets, se.opts.X2)
-	t = lap(stageX2, t)
-
-	mds := se.marketDeltas(cur, net2, x22, assigned, tombs, changed, dead2, oldLen)
+	for m, md := range mds {
+		md.diffPairs(cur, x22, x22.MarketCarriers(m), changed, dead2, oldLen)
+	}
 
 	// Patch the affected markets; rebind the rest onto the new inventory
 	// with their fitted models shared by reference.
@@ -428,8 +431,8 @@ func (se *ShardedEngine) validate(cur *shardState, d Delta) (assigned, tombs []l
 			continue
 		}
 		live := 0
-		for i := range cur.net.Carriers {
-			if cur.net.Carriers[i].Market == m && !cur.dead[lte.CarrierID(i)] {
+		for _, id := range cur.x2.MarketCarriers(m) {
+			if !cur.dead[id] {
 				live++
 			}
 		}
@@ -454,14 +457,10 @@ func (se *ShardedEngine) marketKeep(net *lte.Network, dead map[lte.CarrierID]boo
 	}
 }
 
-// marketDeltas slices the validated delta per affected market, diffing old
-// and new X2 adjacency to find every pair row the change invalidates. A row
-// is re-added (tombstone + append) whenever either endpoint's attributes
-// changed, and added or removed when the adjacency itself changed — which
-// can happen to carriers far from the delta when a new carrier pushes a
-// neighbor past the per-carrier cap.
-func (se *ShardedEngine) marketDeltas(cur *shardState, net2 *lte.Network, x22 *geo.Graph,
-	assigned, tombs []lte.CarrierID, changed, dead2 map[lte.CarrierID]bool, oldLen int) map[int]*marketDelta {
+// marketDeltas slices the validated delta per affected market: the carriers
+// it adds or replaces, and the singular rows it retires. Every market a delta
+// touches has an entry.
+func marketDeltas(net2 *lte.Network, assigned, tombs []lte.CarrierID, oldLen int) map[int]*marketDelta {
 	mds := make(map[int]*marketDelta)
 	md := func(m int) *marketDelta {
 		if mds[m] == nil {
@@ -484,16 +483,20 @@ func (se *ShardedEngine) marketDeltas(cur *shardState, net2 *lte.Network, x22 *g
 	for _, m := range mds {
 		slices.Sort(m.addIDs)
 	}
+	return mds
+}
 
-	// Pair-row diff over every carrier of the affected markets.
-	for i := range net2.Carriers {
-		id := lte.CarrierID(i)
-		m, ok := mds[net2.Carriers[i].Market]
-		if !ok {
-			continue
-		}
+// diffPairs diffs the old and new X2 adjacency of a market's carriers (ids,
+// ascending) to find every pair row the change invalidates. A row is
+// re-added (tombstone + append) whenever either endpoint's attributes
+// changed, and added or removed when the adjacency itself changed — which
+// can happen to carriers far from the delta when a new carrier pushes a
+// neighbor past the per-carrier cap.
+func (m *marketDelta) diffPairs(cur *shardState, x22 *geo.Graph, ids []lte.CarrierID,
+	changed, dead2 map[lte.CarrierID]bool, oldLen int) {
+	for _, id := range ids {
 		var oldList []lte.CarrierID
-		if i < oldLen && !cur.dead[id] {
+		if int(id) < oldLen && !cur.dead[id] {
 			oldList = cur.x2.CarrierNeighbors(id)
 		}
 		var newList []lte.CarrierID
@@ -536,7 +539,6 @@ func (se *ShardedEngine) marketDeltas(cur *shardState, net2 *lte.Network, x22 *g
 			}
 		}
 	}
-	return mds
 }
 
 // patched returns a copy of the engine over the new inventory with its

@@ -428,6 +428,9 @@ func (s *Server) set(carrier, param, value, neighbor string) (string, bool) {
 		if spec.Kind != paramspec.PairWise {
 			return "ERR BADREQ parameter is singular; use SET", false
 		}
+		if int(id) >= s.store.NumCarriers() {
+			return "ERR BADREQ carrier out of range", false
+		}
 		s.store.SetPair(id, nb, pi, v)
 	}
 	s.setCount++

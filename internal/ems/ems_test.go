@@ -1,6 +1,7 @@
 package ems
 
 import (
+	"errors"
 	"strings"
 	"sync"
 	"testing"
@@ -109,6 +110,23 @@ func TestPairwiseRelations(t *testing.T) {
 	}
 	if _, err := c.GetRel(1, 0, "hysA3Offset"); err == nil {
 		t.Error("unconfigured reverse relation should error")
+	}
+}
+
+func TestSetRelOutOfRangeCarrier(t *testing.T) {
+	srv, c := startServer(t, Config{})
+	srv.ForceLock(100)
+	var e *Error
+	if err := c.SetRel(100, 0, "hysA3Offset", 7.5); !errors.As(err, &e) || e.Code != "BADREQ" {
+		t.Fatalf("SETREL from an out-of-range carrier: %v, want BADREQ", err)
+	}
+	// The connection and the server keep serving.
+	srv.ForceLock(0)
+	if err := c.SetRel(0, 1, "hysA3Offset", 7.5); err != nil {
+		t.Fatalf("SETREL after the rejected one: %v", err)
+	}
+	if v, err := c.GetRel(0, 1, "hysA3Offset"); err != nil || v != 7.5 {
+		t.Errorf("GetRel = %v/%v", v, err)
 	}
 }
 

@@ -50,8 +50,13 @@ func (o Options) withDefaults() Options {
 // BuildX2; a built graph is logically immutable and safe for concurrent use
 // (the neighborhood memo below is internally synchronized).
 type Graph struct {
+	opts    Options // with defaults applied
 	enb     [][]lte.ENodeBID
 	carrier [][]lte.CarrierID
+	// market lists every carrier of each market in ascending id order,
+	// whether or not an eNodeB still hosts it. Each list is clipped so that
+	// a rebuild appending to it never writes into a shared array.
+	market [][]lte.CarrierID
 
 	// hoods memoizes the sorted carrier list per (eNodeB, hops) BFS — the
 	// hot query of the local learner, issued once per (carrier, parameter)
@@ -70,14 +75,15 @@ type hoodKey struct {
 // opts.RadiusDeg of each other and in the same market are X2-adjacent
 // (subject to the per-eNodeB cap, nearest first).
 func BuildX2(n *lte.Network, opts Options) *Graph {
-	opts = opts.withDefaults()
 	g := &Graph{
+		opts:    opts.withDefaults(),
 		enb:     make([][]lte.ENodeBID, len(n.ENodeBs)),
 		carrier: make([][]lte.CarrierID, len(n.Carriers)),
 	}
-	g.buildENodeBAdjacency(n, opts)
+	g.buildENodeBAdjacency(n)
+	g.indexMarkets(n, 0)
 	for i := range n.Carriers {
-		g.carrier[i] = g.carrierNeighbors(n, lte.CarrierID(i), opts)
+		g.carrier[i] = g.carrierNeighbors(n, lte.CarrierID(i))
 	}
 	return g
 }
@@ -85,30 +91,67 @@ func BuildX2(n *lte.Network, opts Options) *Graph {
 // RebuildMarkets returns the X2 graph of n, a network that differs from the
 // one g was built over only in the carriers of the listed markets: carriers
 // there may be added, replaced, or moved between eNodeBs of their market,
-// while every eNodeB keeps its id, position and market. Because X2 is
-// intra-market, the result shares g's eNodeB adjacency and the neighbor
-// lists of every other market's carriers, and recomputes only the listed
-// markets' (and new carriers') lists — the same lists BuildX2(n, opts)
-// derives. opts must be the options g was built with.
-func (g *Graph) RebuildMarkets(n *lte.Network, markets []int, opts Options) *Graph {
-	if len(n.ENodeBs) != len(g.enb) {
-		panic(fmt.Sprintf("geo: RebuildMarkets over %d eNodeBs, graph has %d", len(n.ENodeBs), len(g.enb)))
+// while every eNodeB keeps its id, position and market and every carrier
+// its market. Because X2 is intra-market, the result shares g's eNodeB
+// adjacency and the neighbor lists of every other market's carriers, and
+// recomputes only the lists of the listed markets' carriers — the same
+// lists BuildX2 derives with g's options. The market of every carrier added
+// since g counts as listed.
+func (g *Graph) RebuildMarkets(n *lte.Network, markets []int) *Graph {
+	if len(n.ENodeBs) != len(g.enb) || len(n.Carriers) < len(g.carrier) {
+		panic(fmt.Sprintf("geo: RebuildMarkets over %d eNodeBs and %d carriers, graph has %d and %d",
+			len(n.ENodeBs), len(n.Carriers), len(g.enb), len(g.carrier)))
 	}
-	opts = opts.withDefaults()
-	out := &Graph{enb: g.enb, carrier: make([][]lte.CarrierID, len(n.Carriers))}
+	out := &Graph{
+		opts:    g.opts,
+		enb:     g.enb,
+		carrier: make([][]lte.CarrierID, len(n.Carriers)),
+		market:  slices.Clone(g.market),
+	}
 	copy(out.carrier, g.carrier)
-	for i := range n.Carriers {
-		if i >= len(g.carrier) || slices.Contains(markets, n.Carriers[i].Market) {
-			out.carrier[i] = out.carrierNeighbors(n, lte.CarrierID(i), opts)
+	out.indexMarkets(n, len(g.carrier))
+	for i := len(g.carrier); i < len(n.Carriers); i++ {
+		if m := n.Carriers[i].Market; !slices.Contains(markets, m) {
+			markets = append(markets[:len(markets):len(markets)], m)
+		}
+	}
+	for _, m := range markets {
+		for _, id := range out.MarketCarriers(m) {
+			out.carrier[id] = out.carrierNeighbors(n, id)
 		}
 	}
 	return out
 }
 
+// indexMarkets appends carriers from onward to their markets' lists.
+func (g *Graph) indexMarkets(n *lte.Network, from int) {
+	for i := from; i < len(n.Carriers); i++ {
+		m := n.Carriers[i].Market
+		for m >= len(g.market) {
+			g.market = append(g.market, nil)
+		}
+		g.market[m] = append(g.market[m], lte.CarrierID(i))
+	}
+	for m := range g.market {
+		g.market[m] = slices.Clip(g.market[m])
+	}
+}
+
+// MarketCarriers returns every carrier of market m in ascending id order,
+// including carriers no eNodeB hosts any more. The returned slice must not
+// be modified.
+func (g *Graph) MarketCarriers(m int) []lte.CarrierID {
+	if m < 0 || m >= len(g.market) {
+		return nil
+	}
+	return g.market[m]
+}
+
 // buildENodeBAdjacency bins eNodeBs into a uniform grid with cells of the
 // search radius so that neighbor candidates are confined to the 3x3 cell
 // neighborhood.
-func (g *Graph) buildENodeBAdjacency(n *lte.Network, opts Options) {
+func (g *Graph) buildENodeBAdjacency(n *lte.Network) {
+	opts := g.opts
 	type cellKey struct{ x, y int }
 	cells := make(map[cellKey][]lte.ENodeBID)
 	cellOf := func(lat, lon float64) cellKey {
@@ -167,7 +210,8 @@ func (g *Graph) buildENodeBAdjacency(n *lte.Network, opts Options) {
 // adjacency: the other-frequency carriers co-sited on its eNodeB, then the
 // same-frequency carriers on its X2-adjacent eNodeBs, capped at
 // MaxCarrierNeighbors.
-func (g *Graph) carrierNeighbors(n *lte.Network, id lte.CarrierID, opts Options) []lte.CarrierID {
+func (g *Graph) carrierNeighbors(n *lte.Network, id lte.CarrierID) []lte.CarrierID {
+	opts := g.opts
 	c := &n.Carriers[id]
 	var out []lte.CarrierID
 	// Inter-frequency co-sited carriers on the same eNodeB.

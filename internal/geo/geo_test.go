@@ -1,6 +1,7 @@
 package geo
 
 import (
+	"slices"
 	"testing"
 
 	"auric/internal/lte"
@@ -229,6 +230,78 @@ func TestCarriersNearENodeBMatchesCarrierScope(t *testing.T) {
 	for i := range filtered {
 		if filtered[i] != byCarrier[i] {
 			t.Fatalf("scopes differ at %d", i)
+		}
+	}
+}
+
+// TestRebuildMarketsMatchesBuildX2 changes market 0 of the grid — a carrier
+// leaves its eNodeB, one moves, one is added — and requires the rebuilt
+// graph to equal a full BuildX2 under the options the old graph was built
+// with, to share market 1's lists, and to leave the old graph's market
+// index alone.
+func TestRebuildMarketsMatchesBuildX2(t *testing.T) {
+	n := gridNetwork()
+	opts := Options{MaxCarrierNeighbors: 3}
+	g := BuildX2(n, opts)
+
+	n2 := &lte.Network{Markets: n.Markets, ENodeBs: slices.Clone(n.ENodeBs), Carriers: slices.Clone(n.Carriers)}
+	for i := range n2.ENodeBs {
+		n2.ENodeBs[i].Carriers = slices.Clone(n2.ENodeBs[i].Carriers)
+	}
+	n2.ENodeBs[0].Carriers = slices.DeleteFunc(n2.ENodeBs[0].Carriers, func(id lte.CarrierID) bool { return id == 0 })
+	// Moving carrier 2 off eNodeB 1 also changes the list of carrier 0,
+	// which no eNodeB hosts any more.
+	n2.ENodeBs[1].Carriers = slices.DeleteFunc(n2.ENodeBs[1].Carriers, func(id lte.CarrierID) bool { return id == 2 })
+	n2.Carriers[2].ENodeB = 4
+	n2.ENodeBs[4].Carriers = append(n2.ENodeBs[4].Carriers, 2)
+	added := lte.Carrier{ID: 20, ENodeB: 4, Market: 0, FrequencyMHz: 700}
+	n2.Carriers = append(n2.Carriers, added)
+	n2.ENodeBs[4].Carriers = append(n2.ENodeBs[4].Carriers, 20)
+
+	// Market 0 is not listed: a new carrier's market counts as listed.
+	g2 := g.RebuildMarkets(n2, nil)
+	want := BuildX2(n2, opts)
+	for i := 0; i < want.NumCarriers(); i++ {
+		id := lte.CarrierID(i)
+		if got, w := g2.CarrierNeighbors(id), want.CarrierNeighbors(id); !slices.Equal(got, w) {
+			t.Errorf("carrier %d neighbors %v, BuildX2 %v", id, got, w)
+		}
+	}
+	for i := 0; i < want.NumENodeBs(); i++ {
+		id := lte.ENodeBID(i)
+		if got, w := g2.ENodeBNeighbors(id), want.ENodeBNeighbors(id); !slices.Equal(got, w) {
+			t.Errorf("eNodeB %d neighbors %v, BuildX2 %v", id, got, w)
+		}
+	}
+	for _, id := range g.MarketCarriers(1) {
+		if &g2.CarrierNeighbors(id)[0] != &g.CarrierNeighbors(id)[0] {
+			t.Errorf("carrier %d of the untouched market got a new neighbor list", id)
+		}
+	}
+
+	// A second rebuild from the old graph must not write into the market
+	// index of the first, or of the old graph.
+	n3 := &lte.Network{Markets: n.Markets, ENodeBs: slices.Clone(n.ENodeBs), Carriers: slices.Clone(n.Carriers)}
+	n3.Carriers = append(n3.Carriers,
+		lte.Carrier{ID: 20, ENodeB: 9, Market: 1, FrequencyMHz: 700},
+		lte.Carrier{ID: 21, ENodeB: 8, Market: 0, FrequencyMHz: 700})
+	n3.ENodeBs[9].Carriers = append(slices.Clone(n3.ENodeBs[9].Carriers), 20)
+	n3.ENodeBs[8].Carriers = append(slices.Clone(n3.ENodeBs[8].Carriers), 21)
+	g3 := g.RebuildMarkets(n3, nil)
+	market0 := []lte.CarrierID{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17}
+	for _, c := range []struct {
+		name string
+		g    *Graph
+		want [2][]lte.CarrierID
+	}{
+		{"old", g, [2][]lte.CarrierID{market0, {18, 19}}},
+		{"first rebuild", g2, [2][]lte.CarrierID{append(slices.Clone(market0), 20), {18, 19}}},
+		{"second rebuild", g3, [2][]lte.CarrierID{append(slices.Clone(market0), 21), {18, 19, 20}}},
+	} {
+		for m, w := range c.want {
+			if got := c.g.MarketCarriers(m); !slices.Equal(got, w) {
+				t.Errorf("%s graph: MarketCarriers(%d) = %v, want %v", c.name, m, got, w)
+			}
 		}
 	}
 }
