@@ -60,11 +60,12 @@ bench:
 # scale) so `make check` catches benchmarks that rot when APIs move,
 # without paying for a measurement-grade run.
 bench-smoke:
-	$(GO) test -run=NONE -bench=. -benchtime=1x -short . ./internal/learn/cf/ ./internal/core/ ./internal/trace/ ./internal/learn/tree/ ./internal/learn/forest/
+	$(GO) test -run=NONE -bench=. -benchtime=1x -short . ./internal/learn/cf/ ./internal/core/ ./internal/trace/ ./internal/learn/tree/ ./internal/learn/forest/ ./cmd/auricd/
 
 # bench-json runs the hot-path benchmark suites and writes the
 # machine-readable results to BENCH_cf.json (dataset + CF),
-# BENCH_core.json (engine) and BENCH_learn.json (tree/forest fit) —
+# BENCH_core.json (engine), BENCH_learn.json (tree/forest fit) and
+# BENCH_serve.json (auricd's POST /v1/recommend handler) —
 # see scripts/bench_json.sh for knobs.
 bench-json:
 	./scripts/bench_json.sh
@@ -87,7 +88,7 @@ bench-compare:
 ifdef OLD
 	$(GO) run ./scripts/benchcompare -max-regress $(MAX_REGRESS) -max-alloc-regress $(MAX_ALLOC_REGRESS) $(OLD) $(NEW)
 else
-	@status=0; for f in BENCH_cf.json BENCH_core.json BENCH_learn.json; do \
+	@status=0; for f in BENCH_cf.json BENCH_core.json BENCH_learn.json BENCH_serve.json; do \
 		if git cat-file -e HEAD:$$f 2>/dev/null && ! git diff --quiet HEAD -- $$f 2>/dev/null; then \
 			base=$$(mktemp); git show HEAD:$$f > $$base; \
 			$(GO) run ./scripts/benchcompare -max-regress $(MAX_REGRESS) -max-alloc-regress $(MAX_ALLOC_REGRESS) $$base $$f || status=1; \

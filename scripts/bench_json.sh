@@ -2,26 +2,29 @@
 # bench-json: run the hot-path benchmarks and write the raw
 # `go test -bench` output as machine-readable JSON — BENCH_cf.json for
 # the dataset + CF learner suites (root package and internal/learn/cf),
-# BENCH_core.json for the engine suite (internal/core), and
+# BENCH_core.json for the engine suite (internal/core),
 # BENCH_learn.json for the tree/forest fit suite (internal/learn/tree
-# and internal/learn/forest). The JSON files are committed so
-# EXPERIMENTS.md numbers stay reproducible and successive PRs can diff
-# ns/op, B/op and allocs/op without re-reading prose.
+# and internal/learn/forest), and BENCH_serve.json for auricd's
+# full-handler POST /v1/recommend suite (cmd/auricd). The JSON files
+# are committed so EXPERIMENTS.md numbers stay reproducible and
+# successive PRs can diff ns/op, B/op and allocs/op without re-reading
+# prose.
 #
-# Usage: scripts/bench_json.sh [cf-out.json [core-out.json [learn-out.json]]]
+# Usage: scripts/bench_json.sh [cf-out.json [core-out.json [learn-out.json [serve-out.json]]]]
 # Env:   BENCHTIME (default 1s), COUNT (default 3; repeated runs per
 #        benchmark let benchcompare fold mean±spread and gate regressions
 #        statistically), SHORT=1 to skip the near-paper "large" scale,
-#        SUITES (default "cf core learn") to regenerate a subset of the
+#        SUITES (default "cf core learn serve") to regenerate a subset of the
 #        baselines without re-measuring the others.
 set -eu
 
 cf_out=${1:-BENCH_cf.json}
 core_out=${2:-BENCH_core.json}
 learn_out=${3:-BENCH_learn.json}
+serve_out=${4:-BENCH_serve.json}
 benchtime=${BENCHTIME:-1s}
 count=${COUNT:-3}
-suites=${SUITES:-"cf core learn"}
+suites=${SUITES:-"cf core learn serve"}
 shortflag=""
 [ "${SHORT:-0}" = "1" ] && shortflag="-short"
 
@@ -70,4 +73,11 @@ if has_suite learn; then
     go test -run=NONE -bench=. -benchmem -benchtime="$benchtime" -count="$count" $shortflag \
         ./internal/learn/tree/ ./internal/learn/forest/ | tee "$tmp"
     fold_json "$tmp" "$learn_out"
+fi
+
+if has_suite serve; then
+    echo "bench-json: running auricd serve benchmarks"
+    go test -run=NONE -bench=. -benchmem -benchtime="$benchtime" -count="$count" $shortflag \
+        ./cmd/auricd/ | tee "$tmp"
+    fold_json "$tmp" "$serve_out"
 fi
