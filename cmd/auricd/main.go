@@ -563,21 +563,6 @@ type recommendRequest struct {
 	Pairwise bool `json:"pairwise"`
 }
 
-type recommendation struct {
-	Param string `json:"param"`
-	// Neighbor is -1 for singular parameters; 0 is a valid carrier id,
-	// so the field is never omitted.
-	Neighbor    int     `json:"neighbor"`
-	Value       float64 `json:"value"`
-	Confidence  float64 `json:"confidence"`
-	Supported   bool    `json:"supported"`
-	Explanation string  `json:"explanation"`
-	// Evidence diagnostics (see internal/learn.Diag): the relaxation
-	// level the vote settled at and the size of the voting pool.
-	RelaxationLevel int `json:"relaxationLevel"`
-	Candidates      int `json:"candidates"`
-}
-
 // handleRecommend serves every form of POST /v1/recommend through one
 // engine call: a single request object (the original API, response shape
 // unchanged) is a batch of one, and an array of request objects is
@@ -597,7 +582,7 @@ func (s *server) handleRecommend(rw http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.observeBatchSize(len(reqs))
-	entries := make([]batchEntry, len(reqs))
+	entries := make([]recommendEntry, len(reqs))
 	items := make([]auric.BatchItem, 0, len(reqs))
 	itemOf := make([]int, 0, len(reqs)) // batch item -> request index
 	for i, req := range reqs {
@@ -607,10 +592,10 @@ func (s *server) handleRecommend(rw http.ResponseWriter, r *http.Request) {
 				writeError(rw, status, msg)
 				return
 			}
-			entries[i] = batchEntry{Carrier: -1, Error: msg}
+			entries[i] = recommendEntry{carrier: -1, err: msg}
 			continue
 		}
-		entries[i].Carrier = int(carrier.ID)
+		entries[i].carrier = int(carrier.ID)
 		items = append(items, auric.BatchItem{Carrier: carrier, Neighbors: neighbors})
 		itemOf = append(itemOf, i)
 	}
@@ -620,28 +605,28 @@ func (s *server) handleRecommend(rw http.ResponseWriter, r *http.Request) {
 
 	// NDJSON writes each entry as soon as it and every entry before it are
 	// final: one compact JSON object per line — the same shape as a
-	// buffered "results" entry — flushed per line. One pooled buffer and
-	// encoder serve every line (the encoder appends the newline itself);
-	// per-line DTO slices return to their pool once the line is written.
+	// buffered "results" entry — flushed per line, from one pooled buffer.
 	stream := many && wantsNDJSON(r)
 	next := 0 // next entry to write when streaming
 	var writeUpTo func(limit int)
 	if stream {
 		rw.Header().Set("Content-Type", "application/x-ndjson")
 		flusher, _ := rw.(http.Flusher)
-		buf := jsonBufs.Get().(*bytes.Buffer)
-		defer jsonBufs.Put(buf)
-		enc := json.NewEncoder(buf)
+		buf := bodyBufs.Get().(*[]byte)
+		defer bodyBufs.Put(buf)
 		writeUpTo = func(limit int) {
 			for ; next < limit; next++ {
-				buf.Reset()
-				if err := enc.Encode(&entries[next]); err != nil {
-					buf.Reset()
-					buf.WriteString("{\"carrier\":-1,\"error\":\"encoding entry\"}\n")
+				e := &entries[next]
+				if err := checkFinite(e.recs); err != nil {
+					log.Printf("auricd: encoding entry: %v", err)
+					*buf = append((*buf)[:0], "{\"carrier\":-1,\"error\":\"encoding entry\"}\n"...)
+				} else {
+					*buf = appendEntryLine((*buf)[:0], e)
 				}
-				rw.Write(buf.Bytes())
-				putRecDTOs(entries[next].Recommendations)
-				entries[next].Recommendations = nil
+				rw.Write(*buf)
+				// The line is on the wire: drop the reference so a long
+				// stream does not pin every uncached answer until it ends.
+				e.recs = nil
 				if flusher != nil {
 					flusher.Flush()
 				}
@@ -651,9 +636,10 @@ func (s *server) handleRecommend(rw http.ResponseWriter, r *http.Request) {
 	err := s.engine.RecommendStream(r.Context(), items, 0, func(bi int, res auric.BatchResult) {
 		ri := itemOf[bi]
 		if res.Err != nil {
-			entries[ri].Error = res.Err.Error()
+			entries[ri].err = res.Err.Error()
 		} else {
-			entries[ri].Recommendations = s.renderRecommendations(items[bi].Carrier, res.Recommendations, traceID)
+			entries[ri].recs = res.Recommendations
+			s.recordServed(items[bi].Carrier, res.Recommendations, traceID)
 		}
 		if stream {
 			// Resolution-failure entries queued before this one go first,
@@ -671,30 +657,24 @@ func (s *server) handleRecommend(rw http.ResponseWriter, r *http.Request) {
 	case stream:
 		writeUpTo(len(entries)) // trailing resolution-failure entries
 	case many:
-		writeJSON(rw, map[string]any{
-			"traceId": traceID,
-			"results": entries,
-		})
-	case entries[0].Error != "":
-		writeError(rw, http.StatusInternalServerError, entries[0].Error)
+		for i := range entries {
+			if err := checkFinite(entries[i].recs); err != nil {
+				writeEncodeFailure(rw, err)
+				return
+			}
+		}
+		writeBody(rw, func(b []byte) []byte { return appendBatchJSON(b, entries, traceID) })
+	case entries[0].err != "":
+		writeError(rw, http.StatusInternalServerError, entries[0].err)
 	default:
-		writeJSON(rw, map[string]any{
-			"carrier":         entries[0].Carrier,
-			"traceId":         traceID,
-			"recommendations": entries[0].Recommendations,
+		if err := checkFinite(entries[0].recs); err != nil {
+			writeEncodeFailure(rw, err)
+			return
+		}
+		writeBody(rw, func(b []byte) []byte {
+			return appendSingleJSON(b, entries[0].carrier, entries[0].recs, traceID)
 		})
 	}
-	for i := range entries {
-		putRecDTOs(entries[i].Recommendations)
-	}
-}
-
-// batchEntry is one item's slot in a batch response: recommendations or
-// an error, never both.
-type batchEntry struct {
-	Carrier         int              `json:"carrier"`
-	Error           string           `json:"error,omitempty"`
-	Recommendations []recommendation `json:"recommendations,omitempty"`
 }
 
 // wantsNDJSON reports whether the client negotiated streaming batch
@@ -774,51 +754,51 @@ func (s *server) resolveRecommend(net *auric.Network, x2 *auric.X2Graph, req rec
 	return carrier, neighbors, 0, ""
 }
 
-// renderRecommendations converts engine recommendations to response DTOs
-// and feeds the per-value serving counter and audit log — shared by the
-// single, batch and streaming forms so observability stays per-carrier
-// either way.
-func (s *server) renderRecommendations(carrier *auric.Carrier, recs []auric.Recommendation, traceID string) []recommendation {
+// recordServed feeds the per-value serving counter and the audit log for
+// one carrier's answer — shared by the single, batch and streaming forms
+// so observability stays per-carrier either way. The counter is resolved
+// once per answer, not once per value.
+func (s *server) recordServed(carrier *auric.Carrier, recs []auric.Recommendation, traceID string) {
+	if s.recommendations != nil {
+		supported := 0
+		for i := range recs {
+			if recs[i].Supported {
+				supported++
+			}
+		}
+		if supported > 0 {
+			s.recommendations.With("true").Add(uint64(supported))
+		}
+		if unsupported := len(recs) - supported; unsupported > 0 {
+			s.recommendations.With("false").Add(uint64(unsupported))
+		}
+	}
+	if s.audit == nil {
+		return
+	}
 	now := time.Now()
-	out := getRecDTOs(len(recs))
 	for _, rec := range recs {
-		out = append(out, recommendation{
+		if err := s.audit.Append(audit.Record{
+			Time:            now,
+			TraceID:         traceID,
+			Carrier:         int(carrier.ID),
 			Param:           rec.Param,
 			Neighbor:        int(rec.Neighbor),
 			Value:           rec.Value,
+			Label:           rec.Label,
 			Confidence:      rec.Confidence,
 			Supported:       rec.Supported,
-			Explanation:     rec.Explanation,
 			RelaxationLevel: rec.RelaxationLevel,
 			Candidates:      rec.Candidates,
-		})
-		if s.recommendations != nil {
-			s.recommendations.With(strconv.FormatBool(rec.Supported)).Inc()
-		}
-		if s.audit != nil {
-			if err := s.audit.Append(audit.Record{
-				Time:            now,
-				TraceID:         traceID,
-				Carrier:         int(carrier.ID),
-				Param:           rec.Param,
-				Neighbor:        int(rec.Neighbor),
-				Value:           rec.Value,
-				Label:           rec.Label,
-				Confidence:      rec.Confidence,
-				Supported:       rec.Supported,
-				RelaxationLevel: rec.RelaxationLevel,
-				Candidates:      rec.Candidates,
-				VoteShare:       rec.VoteShare,
-				ExactIndexHit:   rec.ExactIndexHit,
-				Dependents:      rec.Dependents,
-				Dropped:         rec.Dropped,
-				Explanation:     rec.Explanation,
-			}); err != nil {
-				log.Printf("auricd: audit append: %v", err)
-			}
+			VoteShare:       rec.VoteShare,
+			ExactIndexHit:   rec.ExactIndexHit,
+			Dependents:      rec.Dependents,
+			Dropped:         rec.Dropped,
+			Explanation:     rec.Explanation,
+		}); err != nil {
+			log.Printf("auricd: audit append: %v", err)
 		}
 	}
-	return out
 }
 
 // requestTraceID extracts the root span's trace id ("" when untraced).
@@ -835,48 +815,43 @@ func (s *server) observeBatchSize(n int) {
 	}
 }
 
-// jsonBufs pools response encode buffers: recommend responses run to
-// hundreds of KB (65 parameters x explanation strings), and encoding into
-// a pooled buffer instead of a per-response one keeps the serving path's
-// allocation rate flat under load.
+// jsonBufs pools the encode buffers of writeJSONStatus, which renders the
+// small responses (errors, network, shards, health, ingest) through
+// encoding/json.
 var jsonBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
-// recDTOPool recycles the []recommendation DTO slices every response body
-// is built from; callers return them via putRecDTOs once the bytes are on
-// the wire (the encoder has copied everything it needs by then).
-var recDTOPool = sync.Pool{New: func() any { s := make([]recommendation, 0, 80); return &s }}
+// bodyBufs pools the buffers the recommend writer (render.go) appends
+// response bodies into: answers run to hundreds of KB, and reusing the
+// buffer keeps the serving path's allocation rate flat under load.
+var bodyBufs = sync.Pool{New: func() any { return new([]byte) }}
 
-func getRecDTOs(n int) []recommendation {
-	p := recDTOPool.Get().(*[]recommendation)
-	s := *p
-	if cap(s) < n {
-		*p = nil
-		recDTOPool.Put(p)
-		return make([]recommendation, 0, n)
+// writeBody sends a 200 JSON body that render appends to a pooled buffer.
+func writeBody(rw http.ResponseWriter, render func([]byte) []byte) {
+	buf := bodyBufs.Get().(*[]byte)
+	defer bodyBufs.Put(buf)
+	*buf = render((*buf)[:0])
+	rw.Header().Set("Content-Type", "application/json")
+	if _, err := rw.Write(*buf); err != nil {
+		log.Printf("auricd: writing response: %v", err)
 	}
-	// Hand out the backing array and recycle the header box; the slice
-	// comes back through putRecDTOs.
-	*p = nil
-	recDTOPool.Put(p)
-	return s[:0]
 }
 
-func putRecDTOs(s []recommendation) {
-	if cap(s) == 0 {
-		return
-	}
-	clear(s[:cap(s)])
-	s = s[:0]
-	recDTOPool.Put(&s)
+// writeEncodeFailure answers a response that has no JSON form (a NaN or
+// infinite float) with the 500 writeJSONStatus sends for one.
+func writeEncodeFailure(rw http.ResponseWriter, err error) {
+	log.Printf("auricd: encoding response: %v", err)
+	writeError(rw, http.StatusInternalServerError, "encoding response")
 }
 
 func writeJSON(rw http.ResponseWriter, v any) {
 	writeJSONStatus(rw, http.StatusOK, v)
 }
 
-// writeJSONStatus writes a JSON body with an explicit status code — used
-// by responses that carry structure beyond the plain {"error": ...} shape,
-// like per-item ingest validation results.
+// writeJSONStatus writes v as indented JSON through encoding/json with an
+// explicit status code. Every response but a recommend answer goes through
+// it or writeJSON: they are small, so reflection and the indent pass cost
+// little there. The recommend answers use the one-pass writer in
+// render.go, which produces the same bytes.
 func writeJSONStatus(rw http.ResponseWriter, status int, v any) {
 	buf := jsonBufs.Get().(*bytes.Buffer)
 	defer jsonBufs.Put(buf)
@@ -884,8 +859,7 @@ func writeJSONStatus(rw http.ResponseWriter, status int, v any) {
 	enc := json.NewEncoder(buf)
 	enc.SetIndent("", "  ")
 	if err := enc.Encode(v); err != nil {
-		log.Printf("auricd: encoding response: %v", err)
-		writeError(rw, http.StatusInternalServerError, "encoding response")
+		writeEncodeFailure(rw, err)
 		return
 	}
 	rw.Header().Set("Content-Type", "application/json")

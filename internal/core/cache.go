@@ -15,8 +15,8 @@ package core
 //
 // Cached values are shared, not copied: callers must treat a returned
 // []Recommendation as immutable, which every caller in this repository
-// already does (auricd renders DTOs from it, the health observer is
-// documented to receive immutable args).
+// already does (auricd writes response bytes straight from it, the health
+// observer is documented to receive immutable args).
 
 import (
 	"encoding/binary"
