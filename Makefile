@@ -114,13 +114,15 @@ serve-smoke:
 load-smoke:
 	./scripts/load_smoke.sh
 
-# fuzz-smoke runs three fuzz targets, each over its committed corpus plus a
+# fuzz-smoke runs four fuzz targets, each over its committed corpus plus a
 # short randomized burst — long enough to catch a regression, short enough
 # for every `make check`. FuzzSnapshotRead catches a decoder panic
 # reintroduced on the snapshot Read path; FuzzIngestEquivalence catches a
 # live-ingest delta sequence whose patched models answer differently from
 # a fresh load; FuzzJournalReplay catches a journal file that Open accepts
-# but that one more append leaves unreplayable (or a panic in Open).
+# but that one more append leaves unreplayable (or a panic in Open);
+# FuzzRenderJSON catches a recommend response whose bytes differ from
+# encoding/json's.
 # Longer sessions: go test -fuzz=<target> <package>
 # -fuzzminimizetime=5x keeps input minimization from monopolizing the
 # short budget on single-core machines.
@@ -128,3 +130,4 @@ fuzz-smoke:
 	$(GO) test -run=FuzzSnapshotRead -fuzz=FuzzSnapshotRead -fuzztime=10s -fuzzminimizetime=5x ./internal/snapshot/
 	$(GO) test -run=FuzzIngestEquivalence -fuzz=FuzzIngestEquivalence -fuzztime=10s -fuzzminimizetime=5x ./internal/core/
 	$(GO) test -run=FuzzJournalReplay -fuzz=FuzzJournalReplay -fuzztime=10s -fuzzminimizetime=5x ./internal/journal/
+	$(GO) test -run=FuzzRenderJSON -fuzz=FuzzRenderJSON -fuzztime=10s -fuzzminimizetime=5x ./cmd/auricd/

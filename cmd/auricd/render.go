@@ -45,18 +45,13 @@ func checkFinite(recs []auric.Recommendation) error {
 
 // appendSingleJSON appends the single-object answer, indented, with a
 // trailing newline. The keys are in encoding/json's sorted map-key order,
-// which perfbench's answer check relies on. A nil recs is written as
-// null, an empty one as [].
+// which perfbench's answer check relies on.
 func appendSingleJSON(b []byte, carrier int, recs []auric.Recommendation, traceID string) []byte {
 	b = append(b, '{')
 	b = appendKey(b, 1, "carrier", true)
 	b = strconv.AppendInt(b, int64(carrier), 10)
 	b = appendKey(b, 1, "recommendations", false)
-	if recs == nil {
-		b = append(b, "null"...)
-	} else {
-		b = appendRecs(b, 1, recs)
-	}
+	b = appendArray(b, 1, recs, appendRec)
 	b = appendKey(b, 1, "traceId", false)
 	b = appendString(b, traceID)
 	return append(b, "\n}\n"...)
@@ -67,23 +62,7 @@ func appendSingleJSON(b []byte, carrier int, recs []auric.Recommendation, traceI
 func appendBatchJSON(b []byte, entries []recommendEntry, traceID string) []byte {
 	b = append(b, '{')
 	b = appendKey(b, 1, "results", true)
-	switch {
-	case entries == nil:
-		b = append(b, "null"...)
-	case len(entries) == 0:
-		b = append(b, "[]"...)
-	default:
-		b = append(b, '[')
-		for i := range entries {
-			if i > 0 {
-				b = append(b, ',')
-			}
-			b = newline(b, 2)
-			b = appendEntry(b, 2, &entries[i])
-		}
-		b = newline(b, 1)
-		b = append(b, ']')
-	}
+	b = appendArray(b, 1, entries, appendEntry)
 	b = appendKey(b, 1, "traceId", false)
 	b = appendString(b, traceID)
 	return append(b, "\n}\n"...)
@@ -99,35 +78,39 @@ func appendEntryLine(b []byte, e *recommendEntry) []byte {
 // encoding/json used to render, the error and recommendations keys are
 // omitted when empty.
 func appendEntry(b []byte, d int, e *recommendEntry) []byte {
+	in := inner(d)
 	b = append(b, '{')
-	b = appendKey(b, inner(d), "carrier", true)
+	b = appendKey(b, in, "carrier", true)
 	b = strconv.AppendInt(b, int64(e.carrier), 10)
 	if e.err != "" {
-		b = appendKey(b, inner(d), "error", false)
+		b = appendKey(b, in, "error", false)
 		b = appendString(b, e.err)
 	}
 	if len(e.recs) > 0 {
-		b = appendKey(b, inner(d), "recommendations", false)
-		b = appendRecs(b, inner(d), e.recs)
+		b = appendKey(b, in, "recommendations", false)
+		b = appendArray(b, in, e.recs, appendRec)
 	}
 	b = newline(b, d)
 	return append(b, '}')
 }
 
-// appendRecs appends recs as an array whose closing bracket sits at
-// depth d.
-func appendRecs(b []byte, d int, recs []auric.Recommendation) []byte {
-	if len(recs) == 0 {
+// appendArray appends items as an array whose closing bracket sits at
+// depth d, each element written by elem: null for a nil slice and [] for
+// an empty one, as encoding/json writes slices.
+func appendArray[T any](b []byte, d int, items []T, elem func([]byte, int, *T) []byte) []byte {
+	switch {
+	case items == nil:
+		return append(b, "null"...)
+	case len(items) == 0:
 		return append(b, "[]"...)
 	}
 	b = append(b, '[')
-	in := inner(d)
-	for i := range recs {
+	for i := range items {
 		if i > 0 {
 			b = append(b, ',')
 		}
-		b = newline(b, in)
-		b = appendRec(b, in, &recs[i])
+		b = newline(b, inner(d))
+		b = elem(b, inner(d), &items[i])
 	}
 	b = newline(b, d)
 	return append(b, ']')
