@@ -656,22 +656,19 @@ func (s *server) handleRecommend(rw http.ResponseWriter, r *http.Request) {
 		writeError(rw, http.StatusInternalServerError, err.Error())
 	case stream:
 		writeUpTo(len(entries)) // trailing resolution-failure entries
-	case many:
+	case !many && entries[0].err != "":
+		writeError(rw, http.StatusInternalServerError, entries[0].err)
+	default:
 		for i := range entries {
 			if err := checkFinite(entries[i].recs); err != nil {
 				writeEncodeFailure(rw, err)
 				return
 			}
 		}
-		writeBody(rw, func(b []byte) []byte { return appendBatchJSON(b, entries, traceID) })
-	case entries[0].err != "":
-		writeError(rw, http.StatusInternalServerError, entries[0].err)
-	default:
-		if err := checkFinite(entries[0].recs); err != nil {
-			writeEncodeFailure(rw, err)
-			return
-		}
 		writeBody(rw, func(b []byte) []byte {
+			if many {
+				return appendBatchJSON(b, entries, traceID)
+			}
 			return appendSingleJSON(b, entries[0].carrier, entries[0].recs, traceID)
 		})
 	}

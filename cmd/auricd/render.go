@@ -1,13 +1,12 @@
 package main
 
-// The POST /v1/recommend body writer. Recommend answers run to ~124 KB
-// (up to ~300 recommendations with their explanations), and rendering
-// them was nearly all of a cached request's cost: encoding/json reflected
-// over a DTO copy of every recommendation, then SetIndent re-scanned the
-// compact output to indent it. These functions append the same bytes in
-// one pass, straight from the engine's immutable []auric.Recommendation.
-// They reproduce encoding/json exactly — sorted map keys, struct field
-// order, omitempty, float format and HTML-safe string escaping —
+// The POST /v1/recommend body writer. Answers run to ~124 KB (up to ~300
+// recommendations with their explanations), and on a cache hit rendering
+// them is nearly all of a request's cost. So these functions append the
+// bytes in one pass, straight from the engine's immutable
+// []auric.Recommendation: no copy, no reflection, no second pass to
+// indent. The bytes are exactly encoding/json's — sorted map keys, struct
+// field order, omitempty, float format and HTML-safe string escaping —
 // and FuzzRenderJSON holds them to it. Indented output matches
 // Encoder.SetIndent("", "  "); a depth below zero selects the compact
 // form of the NDJSON lines.

@@ -8,7 +8,6 @@ import (
 	"log"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"strings"
 	"testing"
 
@@ -110,8 +109,9 @@ func TestServeGoldenBodies(t *testing.T) {
 // without the audit log.
 func benchServer(b *testing.B) http.Handler {
 	b.Helper()
+	prev := log.Writer()
 	log.SetOutput(io.Discard)
-	b.Cleanup(func() { log.SetOutput(os.Stderr) })
+	b.Cleanup(func() { log.SetOutput(prev) })
 	w := auric.SimulateNetwork(auric.NetworkOptions{Seed: 2, Markets: 1, ENodeBsPerMarket: 10})
 	s := &server{newRNG: rng.New(1), world: w, cacheEntries: 4096}
 	s.source = func() (*auric.Network, *auric.X2Graph, *auric.Config, error) {
