@@ -812,9 +812,7 @@ func (s *server) observeBatchSize(n int) {
 	}
 }
 
-// jsonBufs pools the encode buffers of writeJSONStatus, which renders the
-// small responses (errors, network, shards, health, ingest) through
-// encoding/json.
+// jsonBufs pools the encode buffers of writeJSONStatus.
 var jsonBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // bodyBufs pools the buffers the recommend writer (render.go) appends
@@ -845,10 +843,10 @@ func writeJSON(rw http.ResponseWriter, v any) {
 }
 
 // writeJSONStatus writes v as indented JSON through encoding/json with an
-// explicit status code. Every response but a recommend answer goes through
-// it or writeJSON: they are small, so reflection and the indent pass cost
-// little there. The recommend answers use the one-pass writer in
-// render.go, which produces the same bytes.
+// explicit status code. The small JSON responses (network, carriers,
+// shards, health, ingest, reload, compact) go through it or writeJSON,
+// where reflection and the indent pass cost little; recommend answers use
+// the one-pass writer in render.go, which produces the same bytes.
 func writeJSONStatus(rw http.ResponseWriter, status int, v any) {
 	buf := jsonBufs.Get().(*bytes.Buffer)
 	defer jsonBufs.Put(buf)
