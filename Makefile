@@ -25,7 +25,8 @@ fmt-check:
 
 # doc-audit fails when any package (root, internal/*, cmd/*) lacks a
 # `// Package ...` or `// Command ...` doc comment, or when an auricd flag
-# or HTTP route is missing from OPERATIONS.md (scripts/doc_audit.sh) — the
+# or HTTP route is missing from OPERATIONS.md, or when a BENCH_*.json
+# baseline names a benchmark no test declares (scripts/doc_audit.sh) — the
 # operator- and contributor-facing documentation floor.
 doc-audit:
 	@missing=0; \

@@ -58,7 +58,7 @@ func TestFacadeSchema(t *testing.T) {
 	if s.Len() != 65 {
 		t.Fatalf("schema has %d parameters", s.Len())
 	}
-	if _, ok := s.ByName("hysA3Offset"); !ok {
+	if s.IndexOf("hysA3Offset") < 0 {
 		t.Error("hysA3Offset missing")
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -324,8 +325,8 @@ func TestJournalReplayAfterCrash(t *testing.T) {
 	if len(net2.Carriers) != len(net1.Carriers) {
 		t.Fatalf("replayed inventory %d carriers, want %d", len(net2.Carriers), len(net1.Carriers))
 	}
-	if dead, err := s2.engine.Tombstoned(5); err != nil || !dead {
-		t.Fatalf("Tombstoned(5) = %v, %v after replay", dead, err)
+	if dead, err := tombstoned(s2.engine, 5); err != nil || !dead {
+		t.Fatalf("tombstoned(5) = %v, %v after replay", dead, err)
 	}
 	recs2, err := s2.engine.Recommend(&net2.Carriers[id], nil)
 	if err != nil {
@@ -387,8 +388,8 @@ func TestCompactionRoundTrip(t *testing.T) {
 		t.Fatalf("restored inventory %d carriers, want %d", len(net2.Carriers), len(net1.Carriers))
 	}
 	for _, want := range []int{5, 6} {
-		if dead, err := s2.engine.Tombstoned(auric.CarrierID(want)); err != nil || !dead {
-			t.Fatalf("Tombstoned(%d) = %v, %v after restore", want, dead, err)
+		if dead, err := tombstoned(s2.engine, auric.CarrierID(want)); err != nil || !dead {
+			t.Fatalf("tombstoned(%d) = %v, %v after restore", want, dead, err)
 		}
 	}
 	recs2, err := s2.engine.Recommend(&net2.Carriers[id], nil)
@@ -442,8 +443,8 @@ func TestIngestAfterCompactionRestart(t *testing.T) {
 
 	// Restart two: the acknowledged delete must replay, not be skipped.
 	s3 := liveServer(t, jpath)
-	if dead, err := s3.engine.Tombstoned(5); err != nil || !dead {
-		t.Fatalf("Tombstoned(5) = %v, %v: post-compaction-restart mutation lost on replay", dead, err)
+	if dead, err := tombstoned(s3.engine, 5); err != nil || !dead {
+		t.Fatalf("tombstoned(5) = %v, %v: post-compaction-restart mutation lost on replay", dead, err)
 	}
 	net3, _, _, err := s3.engine.Inventory()
 	if err != nil {
@@ -616,4 +617,14 @@ func TestIngestInvalidatesRecommendCache(t *testing.T) {
 	if after.Invalidations != st.Invalidations+1 {
 		t.Errorf("invalidations = %d after one ingest batch, want %d", after.Invalidations, st.Invalidations+1)
 	}
+}
+
+// tombstoned reports whether id is in the engine's sorted tombstone list.
+func tombstoned(se *auric.ShardedEngine, id auric.CarrierID) (bool, error) {
+	_, _, dead, _, err := se.SnapshotState()
+	if err != nil {
+		return false, err
+	}
+	_, found := slices.BinarySearch(dead, id)
+	return found, nil
 }

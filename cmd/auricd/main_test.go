@@ -650,6 +650,13 @@ func (f *flushRecorder) Flush() { f.flushes = append(f.flushes, f.Body.Len()) }
 func TestHandleRecommendNDJSON(t *testing.T) {
 	s := testServer(t)
 	s.recommendations = obs.New().CounterVec("auric_recommendations_total", "test", "supported")
+	auditPath := filepath.Join(t.TempDir(), "audit.jsonl")
+	al, err := audit.Open(auditPath, audit.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { al.Close() })
+	s.audit = al
 	// Deterministic items only (no new-carrier synthesis, whose RNG draw
 	// would differ between the requests), with failures mid-stream.
 	items := []string{
@@ -666,7 +673,7 @@ func TestHandleRecommendNDJSON(t *testing.T) {
 	auditRead := 0
 	served := func() (map[int][]audit.Record, [2]uint64) {
 		t.Helper()
-		data, err := os.ReadFile(s.audit.Path())
+		data, err := os.ReadFile(auditPath)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -10,7 +10,7 @@ import (
 
 // TestIntegrationPipeline exercises the whole system through the public
 // API: generate → persist → reload → rebuild X2 → train → launch a new
-// carrier through the EMS with the engineer gate and the KPI guard →
+// carrier through the EMS with the engineer gate →
 // verify the pushed configuration moved toward the regional intent.
 func TestIntegrationPipeline(t *testing.T) {
 	if testing.Short() {
@@ -59,21 +59,13 @@ func TestIntegrationPipeline(t *testing.T) {
 	}
 	srv.ForceLock(newID)
 
-	// KPI feedback wiring.
-	sim := auric.NewKPISimulator(world, 3)
-	sim.RegisterCarrier(carrier)
-	baseline := auric.KPIScore(sim.Measure(newID, store))
-	guard := func(id auric.CarrierID) bool {
-		return auric.KPIScore(sim.Measure(id, store)) >= baseline
-	}
-
 	ctrl := auric.NewController(cfg.Schema(), client, auric.ControllerOptions{
 		RequireSupport: true,
 		Validate: func(ch auric.Change) bool {
 			return ch.Neighbor < 0 && ch.To == intended[ch.ParamIndex]
 		},
 	})
-	wf := &auric.LaunchWorkflow{Engine: engine, Ctrl: ctrl, Client: client, Guard: guard}
+	wf := &auric.LaunchWorkflow{Engine: engine, Ctrl: ctrl, Client: client}
 
 	rec, err := wf.Launch(carrier, nil)
 	if err != nil {
@@ -82,19 +74,12 @@ func TestIntegrationPipeline(t *testing.T) {
 	if !rec.Unlocked || !rec.PostcheckOK {
 		t.Fatalf("launch record %+v", rec)
 	}
-	if rec.RolledBack {
-		t.Fatal("engineer-approved changes should never degrade KPIs")
-	}
 	if rec.Planned > 0 && rec.Pushed != rec.Planned {
 		t.Fatalf("pushed %d of %d planned", rec.Pushed, rec.Planned)
 	}
 
 	// Every pushed change moved the carrier onto the intended value.
 	if rec.Pushed > 0 {
-		after := auric.KPIScore(sim.Measure(newID, store))
-		if after < baseline {
-			t.Fatalf("quality score fell %v -> %v", baseline, after)
-		}
 		improved := 0
 		for _, pi := range cfg.Schema().Singular() {
 			if store.Get(newID, pi) == intended[pi] && stale[pi] != intended[pi] {

@@ -103,9 +103,6 @@ func Open(path string, opts Options) (*Log, error) {
 	return &Log{f: f, path: path, size: st.Size(), opts: opts}, nil
 }
 
-// Path returns the active file path.
-func (l *Log) Path() string { return l.path }
-
 // Append writes one record as a single JSON line, rotating first when the
 // line would push the active file past MaxBytes.
 func (l *Log) Append(r Record) error {

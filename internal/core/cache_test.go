@@ -522,27 +522,3 @@ func TestCacheChurnRace(t *testing.T) {
 		t.Error("churn run recorded zero invalidations despite reloads and applies")
 	}
 }
-
-// TestCopyRecommendations pins the deep-copy helper cached answers rely on:
-// mutating the copy (Dependents included) must not leak into the original.
-func TestCopyRecommendations(t *testing.T) {
-	orig := []Recommendation{
-		{Param: "p0", Label: "a", Dependents: []string{"x=1", "y=2"}},
-		{Param: "p1", Label: "b"},
-	}
-	cp := CopyRecommendations(orig)
-	if !reflect.DeepEqual(cp, orig) {
-		t.Fatal("copy is not equal to the original")
-	}
-	cp[0].Label = "mutated"
-	cp[0].Dependents[0] = "mutated"
-	if orig[0].Label != "a" || orig[0].Dependents[0] != "x=1" {
-		t.Errorf("mutating the copy leaked into the original: %+v", orig[0])
-	}
-	if CopyRecommendations(nil) != nil {
-		t.Error("CopyRecommendations(nil) != nil")
-	}
-	if got := CopyRecommendations([]Recommendation{}); got == nil || len(got) != 0 {
-		t.Errorf("empty copy = %v", got)
-	}
-}

@@ -81,11 +81,6 @@ type Options struct {
 	// byte-identical to computed ones; a reload or live-ingest delta
 	// starts the cache cold. Zero disables caching.
 	CacheEntries int
-	// X2 configures the X2 graph rebuild ShardedEngine.Apply performs when
-	// a delta changes the inventory. It must match the options the serving
-	// graph was originally built with; the zero value is the geo package's
-	// defaults, which is what cmd/auricd and netsim use.
-	X2 geo.Options
 
 	// beforePredict, when non-nil, runs at the start of every job of the
 	// recommendMany fan-out. Tests use it to hold or count predictions.
@@ -109,9 +104,6 @@ func New(schema *paramspec.Schema, opts Options) *Engine {
 	}
 	return &Engine{opts: opts, schema: schema}
 }
-
-// Schema returns the engine's parameter schema.
-func (e *Engine) Schema() *paramspec.Schema { return e.schema }
 
 // Train fits one dependency model per configuration parameter from the
 // network's current configuration. It must be called before Recommend.
@@ -205,25 +197,6 @@ type Recommendation struct {
 	// Dependents are the "attribute=value" pairs the model matched on,
 	// strongest association first.
 	Dependents []string
-}
-
-// CopyRecommendations deep-copies a recommendation slice. Cached results
-// from the generation-keyed serving cache are shared across requests and
-// must not be mutated; callers that need to edit an answer in place copy
-// it first. Dependents is the only slice field, everything else copies by
-// value.
-func CopyRecommendations(recs []Recommendation) []Recommendation {
-	if recs == nil {
-		return nil
-	}
-	out := make([]Recommendation, len(recs))
-	copy(out, recs)
-	for i := range out {
-		if d := out[i].Dependents; d != nil {
-			out[i].Dependents = append(make([]string, 0, len(d)), d...)
-		}
-	}
-	return out
 }
 
 // Recommend produces recommendations for every parameter of a new carrier.

@@ -297,16 +297,6 @@ func (se *ShardedEngine) SnapshotState() (*lte.Network, *lte.Config, []lte.Carri
 	return st.net, st.cfg, dead, st.gen, nil
 }
 
-// Tombstoned reports whether a carrier id has been removed from service.
-func (se *ShardedEngine) Tombstoned(id lte.CarrierID) (bool, error) {
-	st, err := se.acquire()
-	if err != nil {
-		return false, err
-	}
-	defer st.release()
-	return st.dead[id], nil
-}
-
 // countNew reports how many of the assigned ids are newly created (at or
 // beyond the previous inventory length).
 func countNew(assigned []lte.CarrierID, oldLen int) int {

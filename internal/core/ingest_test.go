@@ -266,7 +266,7 @@ func checkIngestEquivalence(t *testing.T, w *netsim.World, steps int, r deltaCho
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertX2Rebuilt(t, step, net2, x22, opts.X2)
+		assertX2Rebuilt(t, step, net2, x22, geo.Options{})
 		// Query a spread of live carriers plus everything this delta touched.
 		queries := append([]lte.CarrierID{}, res.Assigned...)
 		live = liveCarriers(t, se)
@@ -463,8 +463,8 @@ func TestIngestValidation(t *testing.T) {
 	if _, err := se.Apply(Delta{Tombstones: []lte.CarrierID{2}}); err != nil {
 		t.Fatal(err)
 	}
-	if dead, err := se.Tombstoned(2); err != nil || !dead {
-		t.Fatalf("Tombstoned(2) = %v, %v; want true", dead, err)
+	if dead, err := tombstoned(se, 2); err != nil || !dead {
+		t.Fatalf("tombstoned(2) = %v, %v; want true", dead, err)
 	}
 	if _, err := se.Apply(Delta{Tombstones: []lte.CarrierID{2}}); err == nil ||
 		!strings.Contains(err.Error(), "already tombstoned") {
@@ -594,4 +594,14 @@ func TestIngestHotApply(t *testing.T) {
 	if n := failures.Load(); n != 0 {
 		t.Fatalf("%d of %d requests failed during live ingest, want 0", n, requests.Load())
 	}
+}
+
+// tombstoned reports whether id is in the engine's sorted tombstone list.
+func tombstoned(se *ShardedEngine, id lte.CarrierID) (bool, error) {
+	_, _, dead, _, err := se.SnapshotState()
+	if err != nil {
+		return false, err
+	}
+	_, found := slices.BinarySearch(dead, id)
+	return found, nil
 }

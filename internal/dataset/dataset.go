@@ -250,23 +250,6 @@ func (t *Table) Sample(n int, seed uint64) *Table {
 	return t.Subset(perm[:n])
 }
 
-// Folds splits row indices into k cross-validation folds of near-equal
-// size, shuffled deterministically by seed. Every row appears in exactly
-// one fold. It panics for k < 2 or k > Len.
-func (t *Table) Folds(k int, seed uint64) [][]int {
-	n := t.Len()
-	if k < 2 || k > n {
-		panic(fmt.Sprintf("dataset: cannot split %d rows into %d folds", n, k))
-	}
-	r := rng.New(seed)
-	perm := r.Perm(n)
-	folds := make([][]int, k)
-	for i, p := range perm {
-		folds[i%k] = append(folds[i%k], p)
-	}
-	return folds
-}
-
 // GroupedFolds splits rows into k folds such that all rows sharing a From
 // carrier land in the same fold. This implements the paper's evaluation
 // stance of treating each carrier as a new carrier (Sec 4.2): when a

@@ -82,7 +82,7 @@ func TestFoldsPartition(t *testing.T) {
 	w := world()
 	pi := w.Schema.IndexOf("pMax")
 	tb := Build(w.Net, w.X2, w.Current, pi, nil)
-	folds := tb.Folds(5, 42)
+	folds := tb.GroupedFolds(5, 42)
 	if len(folds) != 5 {
 		t.Fatalf("folds = %d", len(folds))
 	}
@@ -100,14 +100,14 @@ func TestFoldsPartition(t *testing.T) {
 	if total != tb.Len() {
 		t.Fatalf("folds cover %d of %d rows", total, tb.Len())
 	}
-	// Near-equal sizes.
+	// Near-equal sizes: pMax is singular, one row per carrier.
 	for _, f := range folds {
 		if len(f) < tb.Len()/5-1 || len(f) > tb.Len()/5+1 {
 			t.Fatalf("unbalanced fold size %d", len(f))
 		}
 	}
 	// Deterministic for equal seeds.
-	again := tb.Folds(5, 42)
+	again := tb.GroupedFolds(5, 42)
 	for i := range folds {
 		for j := range folds[i] {
 			if folds[i][j] != again[i][j] {
@@ -121,7 +121,7 @@ func TestTrainTest(t *testing.T) {
 	w := world()
 	pi := w.Schema.IndexOf("pMax")
 	tb := Build(w.Net, w.X2, w.Current, pi, nil)
-	folds := tb.Folds(4, 1)
+	folds := tb.GroupedFolds(4, 1)
 	train, test := TrainTest(folds, 2)
 	if len(train)+len(test) != tb.Len() {
 		t.Fatal("train+test != all")
@@ -166,11 +166,12 @@ func TestFoldsPanicsOnBadK(t *testing.T) {
 	tb := &Table{ColNames: []string{"a"}, Labels: make([]string, 3)}
 	for i := 0; i < 3; i++ {
 		tb.AppendRow([]string{"v"})
+		tb.Sites = append(tb.Sites, Site{From: lte.CarrierID(i), To: -1})
 	}
 	defer func() {
 		if recover() == nil {
-			t.Error("Folds(1) did not panic")
+			t.Error("GroupedFolds(1) did not panic")
 		}
 	}()
-	tb.Folds(1, 0)
+	tb.GroupedFolds(1, 0)
 }

@@ -55,9 +55,6 @@ func ExtendBase(t *Table, rows [][]string) *Extension {
 	return &Extension{old: old, neu: neu}
 }
 
-// Added reports how many rows the extension appended to the base.
-func (e *Extension) Added() int { return e.neu.n - e.old.n }
-
 // FirstRow returns the base row id of the first appended row; the k-th
 // appended row is base row FirstRow()+k.
 func (e *Extension) FirstRow() int32 { return int32(e.old.n) }

@@ -139,12 +139,6 @@ func (c *Client) SetRel(id, neighbor lte.CarrierID, param string, v float64) err
 	return err
 }
 
-// Lock takes the carrier off-air.
-func (c *Client) Lock(id lte.CarrierID) error {
-	_, err := c.roundTrip(fmt.Sprintf("LOCK %d", id))
-	return err
-}
-
 // Unlock puts the carrier on-air.
 func (c *Client) Unlock(id lte.CarrierID) error {
 	_, err := c.roundTrip(fmt.Sprintf("UNLOCK %d", id))

@@ -53,10 +53,6 @@ type Config struct {
 	// QueueTimeout fails a SET that waited longer than this for an
 	// execution slot — the paper's timeout fall-out. Zero means 2s.
 	QueueTimeout time.Duration
-	// EnforceLock rejects SETs on unlocked carriers (changing such
-	// parameters requires the carrier to be locked, Sec 5). Default true
-	// via NewServer.
-	EnforceLock bool
 }
 
 func (c Config) withDefaults() Config {
@@ -82,10 +78,6 @@ type Server struct {
 	lis  net.Listener
 	wg   sync.WaitGroup
 	done chan struct{}
-
-	// SetCount counts successful SET/SETREL executions (for tests and
-	// reports); guarded by mu.
-	setCount int
 }
 
 // NewServer creates a server over the given configuration store. Carriers
@@ -93,7 +85,6 @@ type Server struct {
 // store's initial population can still be locked/unlocked by ID.
 func NewServer(schema *paramspec.Schema, store *lte.Config, cfg Config) *Server {
 	cfg = cfg.withDefaults()
-	cfg.EnforceLock = true
 	return &Server{
 		cfg:     cfg,
 		schema:  schema,
@@ -103,9 +94,6 @@ func NewServer(schema *paramspec.Schema, store *lte.Config, cfg Config) *Server 
 		done:    make(chan struct{}),
 	}
 }
-
-// AllowUnlockedSets disables lock enforcement (used by tests).
-func (s *Server) AllowUnlockedSets() { s.cfg.EnforceLock = false }
 
 // Listen starts serving on addr ("127.0.0.1:0" for an ephemeral port) and
 // returns the bound address.
@@ -129,20 +117,6 @@ func (s *Server) Close() error {
 	}
 	s.wg.Wait()
 	return err
-}
-
-// SetCount reports the number of successful SET/SETREL executions.
-func (s *Server) SetCount() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.setCount
-}
-
-// Locked reports a carrier's lock state.
-func (s *Server) Locked(id lte.CarrierID) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.locked[id]
 }
 
 // ForceUnlock unlocks a carrier out-of-band, simulating the engineers who
@@ -364,7 +338,7 @@ func (s *Server) bulkSet(carrier, list string) (string, bool) {
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.cfg.EnforceLock && !s.locked[id] {
+	if !s.locked[id] {
 		return "ERR UNLOCKED carrier must be locked to change these parameters", false
 	}
 	if int(id) >= s.store.NumCarriers() {
@@ -373,7 +347,6 @@ func (s *Server) bulkSet(carrier, list string) (string, bool) {
 	for _, a := range assigns {
 		s.store.Set(id, a.pi, a.v)
 	}
-	s.setCount += len(assigns)
 	return fmt.Sprintf("OK %d", len(assigns)), false
 }
 
@@ -409,7 +382,7 @@ func (s *Server) set(carrier, param, value, neighbor string) (string, bool) {
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.cfg.EnforceLock && !s.locked[id] {
+	if !s.locked[id] {
 		return "ERR UNLOCKED carrier must be locked to change this parameter", false
 	}
 	if neighbor == "" {
@@ -433,6 +406,5 @@ func (s *Server) set(carrier, param, value, neighbor string) (string, bool) {
 		}
 		s.store.SetPair(id, nb, pi, v)
 	}
-	s.setCount++
 	return "OK", false
 }

@@ -42,9 +42,6 @@ func TestGetSetRoundTrip(t *testing.T) {
 	if v != 30 {
 		t.Errorf("Get = %v, want 30", v)
 	}
-	if srv.SetCount() != 1 {
-		t.Errorf("SetCount = %d", srv.SetCount())
-	}
 }
 
 func TestSetRejectedWhenUnlocked(t *testing.T) {
@@ -57,7 +54,7 @@ func TestSetRejectedWhenUnlocked(t *testing.T) {
 
 func TestLockUnlockState(t *testing.T) {
 	_, c := startServer(t, Config{})
-	if err := c.Lock(1); err != nil {
+	if _, err := c.roundTrip("LOCK 1"); err != nil {
 		t.Fatal(err)
 	}
 	locked, err := c.State(1)
@@ -224,7 +221,7 @@ func TestGrowStoreForNewCarrier(t *testing.T) {
 	}
 	defer c.Close()
 
-	if err := c.Lock(2); err != nil {
+	if _, err := c.roundTrip("LOCK 2"); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Set(2, "pMax", 6); err == nil {
@@ -247,11 +244,10 @@ func TestBulkSetAtomicRoundTrip(t *testing.T) {
 	if err != nil || n != 3 {
 		t.Fatalf("BulkSet = %d, %v", n, err)
 	}
-	if v, _ := c.Get(1, "capacityThreshold"); v != 65 {
-		t.Errorf("capacityThreshold = %v", v)
-	}
-	if srv.SetCount() != 3 {
-		t.Errorf("SetCount = %d", srv.SetCount())
+	for _, a := range []Assignment{{"pMax", 24}, {"capacityThreshold", 65}, {"sFreqPrio", 1200}} {
+		if v, _ := c.Get(1, a.Param); v != a.Value {
+			t.Errorf("%s = %v, want %v", a.Param, v, a.Value)
+		}
 	}
 }
 

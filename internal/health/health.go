@@ -26,7 +26,6 @@ package health
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -475,20 +474,4 @@ func (t *Tracker) fireTransitions(shards []ShardHealth) {
 		t.cfg.OnTransition(Transition{Market: sh.Market, Name: sh.Name,
 			Degraded: now, Reasons: sh.Reasons})
 	}
-}
-
-// Markets lists the tracked market ids in order.
-func (t *Tracker) Markets() []int {
-	st := t.state.Load()
-	if st == nil {
-		return nil
-	}
-	var out []int
-	for _, mh := range st.markets {
-		if mh != nil {
-			out = append(out, mh.id)
-		}
-	}
-	sort.Ints(out)
-	return out
 }

@@ -200,10 +200,7 @@ func TestServedFeedsWindowAndDrift(t *testing.T) {
 
 func TestShadowNoChurnAgrees(t *testing.T) {
 	rig := newRig(t, Config{})
-	res, err := rig.tr.ShadowCheck(0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := shadowOf(t, rig.tr, 0)
 	if res.Probes == 0 || res.Compared == 0 {
 		t.Fatalf("shadow probed nothing: %+v", res)
 	}
@@ -223,10 +220,7 @@ func TestShadowRoundTripChurnAgrees(t *testing.T) {
 	if _, err := rig.eng.Apply(core.Delta{Tombstones: res1.Assigned}); err != nil {
 		t.Fatal(err)
 	}
-	res, err := rig.tr.ShadowCheck(0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := shadowOf(t, rig.tr, 0)
 	if res.Compared == 0 {
 		t.Fatalf("shadow compared nothing: %+v", res)
 	}
@@ -240,10 +234,7 @@ func TestShadowDetectsDivergence(t *testing.T) {
 	if _, err := rig.eng.Apply(flippedClones(rig.w, 0, 4)); err != nil {
 		t.Fatal(err)
 	}
-	res, err := rig.tr.ShadowCheck(0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := shadowOf(t, rig.tr, 0)
 	if res.Compared == 0 || res.Disagreed == 0 {
 		t.Fatalf("flipped-config churn not detected: %+v", res)
 	}
@@ -256,8 +247,8 @@ func TestShadowDetectsDivergence(t *testing.T) {
 		t.Fatalf("diverged shard still ok: %+v", sh)
 	}
 	// The untouched market stays clean.
-	if got, err := rig.tr.ShadowCheck(1); err != nil || got.Disagreed != 0 {
-		t.Fatalf("market 1 shadow: %+v, %v", got, err)
+	if got := shadowOf(t, rig.tr, 1); got.Disagreed != 0 {
+		t.Fatalf("market 1 shadow: %+v", got)
 	}
 }
 
@@ -329,9 +320,25 @@ func TestReportBeforeLoad(t *testing.T) {
 	// Observer callbacks before Load are no-ops, not panics.
 	tr.ObserveServed(0, &lte.Carrier{}, nil)
 	tr.ObserveApply(1, &lte.Network{}, nil, nil)
-	if _, err := tr.ShadowCheck(0); err == nil {
+	if err := tr.RefreshShadow(); err == nil {
 		t.Fatal("shadow check before load should fail")
 	}
+}
+
+// shadowOf runs a shadow check of every tracked market and returns
+// market m's result as Report carries it.
+func shadowOf(t *testing.T, tr *Tracker, m int) *ShadowResult {
+	t.Helper()
+	if err := tr.RefreshShadow(); err != nil {
+		t.Fatal(err)
+	}
+	for _, sh := range tr.Report().Shards {
+		if sh.Market == m && sh.Shadow != nil {
+			return sh.Shadow
+		}
+	}
+	t.Fatalf("report carries no shadow result for market %d", m)
+	return nil
 }
 
 func BenchmarkObserveServed(b *testing.B) {

@@ -42,22 +42,6 @@ type ShadowResult struct {
 	opsAt int64 // market op counter when the check completed
 }
 
-// ShadowCheck refits one market's base cohort on a scratch engine and
-// reports the disagreement against the serving shard. It is synchronous
-// and serialized with other shadow checks; the result is also retained
-// for Report.
-func (t *Tracker) ShadowCheck(market int) (*ShadowResult, error) {
-	st := t.state.Load()
-	if st == nil {
-		return nil, fmt.Errorf("health: no baseline loaded")
-	}
-	mh := st.market(market)
-	if mh == nil {
-		return nil, fmt.Errorf("health: market %d has no tracked shard", market)
-	}
-	return t.shadowCheck(st, mh)
-}
-
 // RefreshShadow runs a shadow check for every tracked market — the
 // synchronous path behind GET /v1/health/model?refresh=shadow.
 func (t *Tracker) RefreshShadow() error {

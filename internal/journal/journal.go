@@ -50,7 +50,6 @@ type Entry struct {
 type Journal struct {
 	mu      sync.Mutex
 	f       *os.File
-	path    string
 	size    int64
 	entries int
 	nextSeq int64
@@ -85,7 +84,7 @@ func Open(path string) (*Journal, []Entry, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("journal: open: %w", err)
 	}
-	j := &Journal{f: f, path: path, nextSeq: 1}
+	j := &Journal{f: f, nextSeq: 1}
 
 	var (
 		entries []Entry
@@ -172,9 +171,6 @@ func scanLine(data []byte, atEOF bool) (int, []byte, error) {
 	}
 	return 0, nil, nil
 }
-
-// Path returns the journal file path.
-func (j *Journal) Path() string { return j.path }
 
 // Dropped reports the corrupt-tail bytes Open truncated, if any.
 func (j *Journal) Dropped() int64 { return j.dropped }

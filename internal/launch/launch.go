@@ -35,9 +35,6 @@ type Record struct {
 	Unlocked bool
 	// PostcheckOK: the read-back verification after unlock succeeded.
 	PostcheckOK bool
-	// RolledBack: the performance guard demanded a roll-back of the
-	// pushed changes after observing degraded KPIs.
-	RolledBack bool
 }
 
 // Fallout reports whether the launch failed to implement planned changes.
@@ -50,14 +47,6 @@ type Workflow struct {
 	Engine *core.Engine
 	Ctrl   *controller.Controller
 	Client *ems.Client
-	// Guard, when set, is consulted after the carrier is unlocked and
-	// carrying traffic: it observes the carrier's service performance and
-	// returns false to demand a roll-back of the pushed changes — the
-	// paper's response to inaccurate recommendations ("they would
-	// immediately roll-back the configuration of the new carrier",
-	// Sec 4.3.3). Roll-back re-locks the carrier, restores the original
-	// values, and unlocks again.
-	Guard func(lte.CarrierID) bool
 }
 
 // Launch runs the SmartLaunch pipeline for one new carrier. neighbors
@@ -120,33 +109,5 @@ func (w *Workflow) Launch(c *lte.Carrier, neighbors []lte.CarrierID) (Record, er
 		}
 	}
 
-	// Performance guard: with the carrier on air, observe its KPIs and
-	// roll the pushed changes back if service degraded.
-	if rec.Pushed > 0 && w.Guard != nil && !w.Guard(c.ID) {
-		if err := w.rollback(c.ID, changes[:rec.Pushed]); err != nil {
-			return rec, fmt.Errorf("launch: rollback: %w", err)
-		}
-		rec.RolledBack = true
-	}
 	return rec, nil
-}
-
-// rollback restores the original values of pushed changes: lock, restore,
-// unlock (a brief service disruption, as in production).
-func (w *Workflow) rollback(id lte.CarrierID, pushed []controller.Change) error {
-	if err := w.Client.Lock(id); err != nil {
-		return err
-	}
-	for _, ch := range pushed {
-		var err error
-		if ch.Neighbor < 0 {
-			err = w.Client.Set(id, ch.Param, ch.From)
-		} else {
-			err = w.Client.SetRel(id, ch.Neighbor, ch.Param, ch.From)
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return w.Client.Unlock(id)
 }

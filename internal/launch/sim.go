@@ -218,17 +218,16 @@ func Simulate(w *netsim.World, opts SimOptions) (SimResult, []Record, error) {
 			continue
 		}
 		res.WithChanges++
-		switch {
-		case rec.Outcome == controller.Applied && rec.Pushed == rec.Planned:
+		if !rec.Fallout() {
 			res.Implemented++
-		case rec.Outcome == controller.SkippedUnlocked:
-			res.Fallouts++
+			continue
+		}
+		res.Fallouts++
+		switch rec.Outcome {
+		case controller.SkippedUnlocked:
 			res.FalloutUnlock++
-		case rec.Outcome == controller.TimedOut:
-			res.Fallouts++
+		case controller.TimedOut:
 			res.FalloutTimeout++
-		default:
-			res.Fallouts++
 		}
 	}
 	return res, records, nil

@@ -615,15 +615,6 @@ func (m *Model) DependentColumns() []int {
 	return out
 }
 
-// DependentColumnNames returns the names of the dependent attributes.
-func (m *Model) DependentColumnNames() []string {
-	out := make([]string, len(m.deps))
-	for i, d := range m.deps {
-		out[i] = m.t.ColNames[d]
-	}
-	return out
-}
-
 // DependentValues returns the query row's "name=value" pairs for the
 // dependent attributes, strongest association first — the evidence key the
 // audit log persists alongside each recommendation. Values seen in

@@ -46,7 +46,10 @@ func TestLearnsRule(t *testing.T) {
 func TestDiscoversDependentAttributes(t *testing.T) {
 	tb := learntest.RuleTable(600, 0, 3)
 	m, _ := New().Fit(tb)
-	deps := m.(*Model).DependentColumnNames()
+	var deps []string
+	for _, c := range m.(*Model).DependentColumns() {
+		deps = append(deps, tb.ColNames[c])
+	}
 	want := map[string]bool{"morphology": true, "freq": true}
 	if len(deps) != 2 {
 		t.Fatalf("dependent attributes = %v, want exactly morphology+freq", deps)

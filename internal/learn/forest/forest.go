@@ -106,9 +106,6 @@ type Model struct {
 	labels []string
 }
 
-// NumTrees reports the ensemble size.
-func (m *Model) NumTrees() int { return len(m.trees) }
-
 // voteScratch is the pooled per-prediction working storage: the encoded
 // query row and the dense per-label vote counts.
 type voteScratch struct {

@@ -35,7 +35,7 @@ func TestEnsembleSmoothsNoise(t *testing.T) {
 func TestDefaultsTo100Trees(t *testing.T) {
 	tb := learntest.RuleTable(60, 0, 5)
 	m, _ := New().Fit(tb)
-	if got := m.(*Model).NumTrees(); got != 100 {
+	if got := len(m.(*Model).trees); got != 100 {
 		t.Errorf("default ensemble size = %d, want 100 (the paper's setting)", got)
 	}
 }

@@ -75,8 +75,8 @@ func TestForestMatchesSerialReference(t *testing.T) {
 		}
 		fm := m.(*Model)
 		ref := refFit(tbl, opts)
-		if fm.NumTrees() != len(ref) {
-			t.Fatalf("trees %d, ref %d", fm.NumTrees(), len(ref))
+		if len(fm.trees) != len(ref) {
+			t.Fatalf("trees %d, ref %d", len(fm.trees), len(ref))
 		}
 		for k := range ref {
 			if fm.trees[k].NumNodes() != ref[k].NumNodes() {

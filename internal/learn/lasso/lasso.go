@@ -190,33 +190,6 @@ func (m *Model) NonZero() int {
 	return n
 }
 
-// ActiveFeatures returns the names of features with non-zero
-// coefficients, by decreasing |β|.
-func (m *Model) ActiveFeatures() []string {
-	names := m.enc.FeatureNames()
-	type feat struct {
-		name string
-		mag  float64
-	}
-	var active []feat
-	for j, b := range m.beta {
-		if b != 0 {
-			active = append(active, feat{names[j], math.Abs(b)})
-		}
-	}
-	sort.Slice(active, func(i, j int) bool {
-		if active[i].mag != active[j].mag {
-			return active[i].mag > active[j].mag
-		}
-		return active[i].name < active[j].name
-	})
-	out := make([]string, len(active))
-	for i, f := range active {
-		out[i] = f.name
-	}
-	return out
-}
-
 // Predict implements learn.Model: the linear prediction is snapped to the
 // nearest observed parameter value.
 func (m *Model) Predict(row []string) learn.Prediction {

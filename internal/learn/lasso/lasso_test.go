@@ -2,6 +2,8 @@ package lasso
 
 import (
 	"fmt"
+	"math"
+	"sort"
 	"strings"
 	"testing"
 
@@ -68,7 +70,7 @@ func TestSparsityKillsIrrelevantFeatures(t *testing.T) {
 	}
 	// The noise columns have ~50 categories each; with L1 they should be
 	// mostly zeroed while morphology/freq stay active.
-	active := model.ActiveFeatures()
+	active := activeFeatures(t, model, tb)
 	noisy := 0
 	for _, f := range active {
 		if strings.HasPrefix(f, "noiseA=") || strings.HasPrefix(f, "noiseB=") {
@@ -141,4 +143,43 @@ func TestEmptyTable(t *testing.T) {
 	if _, err := New().Fit(&dataset.Table{Spec: learntest.Spec()}); err != learn.ErrEmptyTable {
 		t.Errorf("empty table error = %v", err)
 	}
+}
+
+// activeFeatures returns the "column=category" names of the model's
+// features with non-zero coefficients, by decreasing |β|. The names follow
+// onehot.FitTable's order: columns in table order, categories first-seen.
+func activeFeatures(t *testing.T, m *Model, tb *dataset.Table) []string {
+	t.Helper()
+	var names []string
+	for ci, col := range tb.ColNames {
+		d := tb.Dict(ci)
+		seen := make([]bool, d.Len())
+		for _, code := range tb.ColumnCodes(ci) {
+			if !seen[code] {
+				seen[code] = true
+				names = append(names, col+"="+d.String(code))
+			}
+		}
+	}
+	if len(names) != len(m.beta) {
+		t.Fatalf("%d feature names for %d coefficients", len(names), len(m.beta))
+	}
+	var active []int
+	for j, b := range m.beta {
+		if b != 0 {
+			active = append(active, j)
+		}
+	}
+	sort.Slice(active, func(a, b int) bool {
+		ma, mb := math.Abs(m.beta[active[a]]), math.Abs(m.beta[active[b]])
+		if ma != mb {
+			return ma > mb
+		}
+		return names[active[a]] < names[active[b]]
+	})
+	out := make([]string, len(active))
+	for i, j := range active {
+		out[i] = names[j]
+	}
+	return out
 }

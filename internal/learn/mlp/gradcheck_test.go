@@ -25,7 +25,7 @@ func TestNumericalGradient(t *testing.T) {
 	x := matrix.New(batch, in)
 	y := make([]int, batch)
 	for i := 0; i < batch; i++ {
-		x.Set(i, i%in, 1) // one-hot-ish inputs
+		x.Row(i)[i%in] = 1 // one-hot-ish inputs
 		y[i] = i % out
 	}
 

@@ -360,6 +360,3 @@ func (m *Model) Predict(row []string) learn.Prediction {
 			bestP*100, m.classes[best], len(m.classes)),
 	}
 }
-
-// Classes returns the label vocabulary (for tests).
-func (m *Model) Classes() []string { return m.classes }

@@ -188,9 +188,6 @@ func NewFrame(t *dataset.Table) *Frame {
 // label codes of every tree grown over the frame index into it.
 func (f *Frame) Labels() []string { return f.labels }
 
-// NumRows reports the number of encoded table rows.
-func (f *Frame) NumRows() int { return f.n }
-
 // EncodeRowInto translates a query row into the frame's local code space
 // (one code per column, -1 for categories never seen in the table),
 // appending into dst. Rows encoded once this way can be pushed through

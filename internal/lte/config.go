@@ -184,9 +184,6 @@ func (c *Config) Edges() []EdgeKey {
 	return out
 }
 
-// NumEdges reports the number of configured directed relations.
-func (c *Config) NumEdges() int { return c.numEdges }
-
 // Clone returns a copy of the configuration that shares every carrier's
 // row with c until either side writes it (see Config). It allocates the
 // two outer per-carrier slices and nothing per row or relation.
@@ -204,18 +201,6 @@ func (c *Config) Clone() *Config {
 	}
 	out.epoch.Store(epochs.Add(1))
 	c.epoch.Store(epochs.Add(1))
-	return out
-}
-
-// CarrierValues returns the singular parameter values of one carrier as a
-// map from parameter name to value, for reports and the EMS controller.
-func (c *Config) CarrierValues(id CarrierID) map[string]float64 {
-	out := make(map[string]float64, c.numSingular)
-	for i := 0; i < c.schema.Len(); i++ {
-		if c.schema.At(i).Kind == paramspec.Singular {
-			out[c.schema.At(i).Name] = c.singular[id].v[c.kindPos[i]]
-		}
-	}
 	return out
 }
 

@@ -69,7 +69,7 @@ func TestConfigCloneIsolation(t *testing.T) {
 			written, other = src, cl
 		}
 		before := configValues(other)
-		edges := other.NumEdges()
+		edges := len(other.Edges())
 
 		written.Set(2, is, schema.At(is).Max)
 		written.SetPair(2, 0, ip, schema.At(ip).Max) // new relation (2 relates to 3, 4, 5)
@@ -82,9 +82,9 @@ func TestConfigCloneIsolation(t *testing.T) {
 		if got := configValues(other); !slices.Equal(got, before) {
 			t.Fatalf("writeClone=%v: writes leaked into the other copy", writeClone)
 		}
-		if other.NumEdges() != edges || other.NumCarriers() != 6 {
+		if len(other.Edges()) != edges || other.NumCarriers() != 6 {
 			t.Fatalf("writeClone=%v: other copy has %d edges / %d carriers, want %d / 6",
-				writeClone, other.NumEdges(), other.NumCarriers(), edges)
+				writeClone, len(other.Edges()), other.NumCarriers(), edges)
 		}
 		if v, _ := written.GetPair(2, 0, ip); v != schema.At(ip).Max {
 			t.Fatalf("writeClone=%v: written copy lost its new relation", writeClone)

@@ -146,7 +146,7 @@ func TestConfigReferenceModel(t *testing.T) {
 		{Name: "p1", Kind: paramspec.PairWise, Min: 0, Max: 3, Step: 1},
 	})
 	check := func(cfg *Config, ref *refConfig) bool {
-		if cfg.NumCarriers() != ref.n || cfg.NumEdges() != len(ref.pair) {
+		if cfg.NumCarriers() != ref.n || len(cfg.Edges()) != len(ref.pair) {
 			return false
 		}
 		for id := 0; id < ref.n; id++ {

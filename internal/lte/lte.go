@@ -11,41 +11,6 @@ package lte
 
 import "fmt"
 
-// Band is the frequency band class of a carrier.
-type Band int
-
-const (
-	LowBand Band = iota
-	MidBand
-	HighBand
-)
-
-// String returns "LB", "MB" or "HB", the abbreviations used in the paper.
-func (b Band) String() string {
-	switch b {
-	case LowBand:
-		return "LB"
-	case MidBand:
-		return "MB"
-	case HighBand:
-		return "HB"
-	default:
-		return fmt.Sprintf("Band(%d)", int(b))
-	}
-}
-
-// BandOfFrequency classifies a carrier center frequency (MHz) into a band.
-func BandOfFrequency(mhz int) Band {
-	switch {
-	case mhz < 1000:
-		return LowBand
-	case mhz < 2000:
-		return MidBand
-	default:
-		return HighBand
-	}
-}
-
 // Morphology describes the deployment environment of a carrier.
 type Morphology int
 
@@ -179,9 +144,6 @@ type Carrier struct {
 	// Position (face-offset from the eNodeB), used for the X2 graph.
 	Lat, Lon float64
 }
-
-// Band reports the frequency band class of the carrier.
-func (c *Carrier) Band() Band { return BandOfFrequency(c.FrequencyMHz) }
 
 // Network is a complete synthetic RAN snapshot.
 type Network struct {

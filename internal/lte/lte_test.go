@@ -6,29 +6,7 @@ import (
 	"auric/internal/paramspec"
 )
 
-func TestBandOfFrequency(t *testing.T) {
-	tests := []struct {
-		mhz  int
-		want Band
-	}{
-		{700, LowBand},
-		{850, LowBand},
-		{1700, MidBand},
-		{1900, MidBand},
-		{2100, HighBand},
-		{2300, HighBand},
-	}
-	for _, tc := range tests {
-		if got := BandOfFrequency(tc.mhz); got != tc.want {
-			t.Errorf("BandOfFrequency(%d) = %v, want %v", tc.mhz, got, tc.want)
-		}
-	}
-}
-
 func TestStringers(t *testing.T) {
-	if LowBand.String() != "LB" || MidBand.String() != "MB" || HighBand.String() != "HB" {
-		t.Error("Band.String mismatch")
-	}
 	if Urban.String() != "urban" || Rural.String() != "rural" {
 		t.Error("Morphology.String mismatch")
 	}
@@ -145,8 +123,8 @@ func TestConfigPairRoundTrip(t *testing.T) {
 	if _, ok := cfg.GetPair(1, 0, ip); ok {
 		t.Error("reverse edge should be unconfigured")
 	}
-	if cfg.NumEdges() != 1 {
-		t.Errorf("NumEdges = %d, want 1", cfg.NumEdges())
+	if n := len(cfg.Edges()); n != 1 {
+		t.Errorf("len(Edges()) = %d, want 1", n)
 	}
 }
 
@@ -179,16 +157,25 @@ func TestConfigClone(t *testing.T) {
 	}
 }
 
+// TestCarrierValues reads back every singular value of one carrier: all
+// 39 singular parameters are stored, unwritten ones at their range
+// minimum, and a written value comes back quantized to its grid.
 func TestCarrierValues(t *testing.T) {
 	schema := paramspec.Default()
 	cfg := NewConfig(schema, 1)
 	cfg.Set(0, schema.IndexOf("pMax"), 42)
-	vals := cfg.CarrierValues(0)
-	if len(vals) != 39 {
-		t.Fatalf("CarrierValues returned %d entries, want 39 singular", len(vals))
+	sing := schema.Singular()
+	if len(sing) != 39 {
+		t.Fatalf("%d singular parameters, want 39", len(sing))
 	}
-	if vals["pMax"] != schema.At(schema.IndexOf("pMax")).Quantize(42) {
-		t.Errorf("pMax = %v", vals["pMax"])
+	for _, pi := range sing {
+		want := schema.At(pi).Min
+		if schema.At(pi).Name == "pMax" {
+			want = schema.At(pi).Quantize(42)
+		}
+		if got := cfg.Get(0, pi); got != want {
+			t.Errorf("%s = %v, want %v", schema.At(pi).Name, got, want)
+		}
 	}
 }
 

@@ -21,36 +21,8 @@ func New(rows, cols int) *Dense {
 	return &Dense{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
 }
 
-// FromRows builds a matrix from row slices; all rows must share a length.
-func FromRows(rows [][]float64) *Dense {
-	if len(rows) == 0 {
-		return New(0, 0)
-	}
-	m := New(len(rows), len(rows[0]))
-	for i, r := range rows {
-		if len(r) != m.Cols {
-			panic(fmt.Sprintf("matrix: ragged row %d (%d vs %d)", i, len(r), m.Cols))
-		}
-		copy(m.Data[i*m.Cols:(i+1)*m.Cols], r)
-	}
-	return m
-}
-
-// At returns the (i, j) element.
-func (m *Dense) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
-
-// Set assigns the (i, j) element.
-func (m *Dense) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
-
 // Row returns a view (not a copy) of row i.
 func (m *Dense) Row(i int) []float64 { return m.Data[i*m.Cols : (i+1)*m.Cols] }
-
-// Clone returns a deep copy.
-func (m *Dense) Clone() *Dense {
-	out := New(m.Rows, m.Cols)
-	copy(out.Data, m.Data)
-	return out
-}
 
 // Zero sets every element to 0.
 func (m *Dense) Zero() {
@@ -63,21 +35,6 @@ func (m *Dense) Zero() {
 func (m *Dense) Apply(f func(float64) float64) {
 	for i, v := range m.Data {
 		m.Data[i] = f(v)
-	}
-}
-
-// Scale multiplies every element by s.
-func (m *Dense) Scale(s float64) {
-	for i := range m.Data {
-		m.Data[i] *= s
-	}
-}
-
-// Add accumulates other into m elementwise. Dimensions must match.
-func (m *Dense) Add(other *Dense) {
-	mustSameShape(m, other)
-	for i, v := range other.Data {
-		m.Data[i] += v
 	}
 }
 

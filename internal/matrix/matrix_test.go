@@ -8,39 +8,16 @@ import (
 	"auric/internal/rng"
 )
 
-func TestFromRowsAndAt(t *testing.T) {
-	m := FromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
-	if m.Rows != 2 || m.Cols != 3 {
-		t.Fatalf("shape %dx%d", m.Rows, m.Cols)
-	}
-	if m.At(1, 2) != 6 || m.At(0, 0) != 1 {
-		t.Error("At returned wrong values")
-	}
-	m.Set(0, 1, 9)
-	if m.At(0, 1) != 9 {
-		t.Error("Set did not stick")
-	}
-}
-
-func TestFromRowsRaggedPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("ragged FromRows did not panic")
-		}
-	}()
-	FromRows([][]float64{{1, 2}, {3}})
-}
-
 func TestMul(t *testing.T) {
-	a := FromRows([][]float64{{1, 2}, {3, 4}})
-	b := FromRows([][]float64{{5, 6}, {7, 8}})
+	a := dense([]float64{1, 2}, []float64{3, 4})
+	b := dense([]float64{5, 6}, []float64{7, 8})
 	dst := New(2, 2)
 	Mul(dst, a, b)
 	want := [][]float64{{19, 22}, {43, 50}}
 	for i := range want {
 		for j := range want[i] {
-			if dst.At(i, j) != want[i][j] {
-				t.Errorf("Mul[%d][%d] = %v, want %v", i, j, dst.At(i, j), want[i][j])
+			if dst.Row(i)[j] != want[i][j] {
+				t.Errorf("Mul[%d][%d] = %v, want %v", i, j, dst.Row(i)[j], want[i][j])
 			}
 		}
 	}
@@ -61,7 +38,7 @@ func TestMulTransposesAgree(t *testing.T) {
 		out := New(m.Cols, m.Rows)
 		for i := 0; i < m.Rows; i++ {
 			for j := 0; j < m.Cols; j++ {
-				out.Set(j, i, m.At(i, j))
+				out.Row(j)[i] = m.Row(i)[j]
 			}
 		}
 		return out
@@ -106,44 +83,35 @@ func TestMulDimensionPanics(t *testing.T) {
 }
 
 func TestApplyScaleAddAxpy(t *testing.T) {
-	m := FromRows([][]float64{{1, -2}, {-3, 4}})
+	m := dense([]float64{1, -2}, []float64{-3, 4})
 	m.Apply(math.Abs)
-	if m.At(0, 1) != 2 || m.At(1, 0) != 3 {
+	if m.Row(0)[1] != 2 || m.Row(1)[0] != 3 {
 		t.Error("Apply(abs) failed")
 	}
-	m.Scale(2)
-	if m.At(1, 1) != 8 {
-		t.Error("Scale failed")
+	m.Apply(func(x float64) float64 { return 2 * x }) // scale
+	if m.Row(1)[1] != 8 {
+		t.Error("Apply(scale) failed")
 	}
-	n := FromRows([][]float64{{1, 1}, {1, 1}})
-	m.Add(n)
-	if m.At(0, 0) != 3 {
-		t.Error("Add failed")
+	n := dense([]float64{1, 1}, []float64{1, 1})
+	m.Axpy(1, n) // add
+	if m.Row(0)[0] != 3 {
+		t.Error("Axpy(1) failed")
 	}
 	m.Axpy(-2, n)
-	if m.At(0, 0) != 1 {
-		t.Error("Axpy failed")
+	if m.Row(0)[0] != 1 {
+		t.Error("Axpy(-2) failed")
 	}
 }
 
 func TestAddRowVectorAndColSums(t *testing.T) {
-	m := FromRows([][]float64{{1, 2}, {3, 4}, {5, 6}})
+	m := dense([]float64{1, 2}, []float64{3, 4}, []float64{5, 6})
 	m.AddRowVector([]float64{10, 20})
-	if m.At(0, 0) != 11 || m.At(2, 1) != 26 {
+	if m.Row(0)[0] != 11 || m.Row(2)[1] != 26 {
 		t.Error("AddRowVector failed")
 	}
 	sums := m.ColSums()
 	if sums[0] != 11+13+15 || sums[1] != 22+24+26 {
 		t.Errorf("ColSums = %v", sums)
-	}
-}
-
-func TestCloneIndependence(t *testing.T) {
-	m := FromRows([][]float64{{1, 2}})
-	c := m.Clone()
-	m.Set(0, 0, 99)
-	if c.At(0, 0) != 1 {
-		t.Error("Clone shares storage")
 	}
 }
 
@@ -155,17 +123,17 @@ func TestMulLinearity(t *testing.T) {
 				return true
 			}
 		}
-		a1 := FromRows([][]float64{{vals[0], vals[1]}, {vals[2], vals[3]}})
-		a2 := FromRows([][]float64{{vals[4], vals[5]}, {vals[6], vals[7]}})
-		b := FromRows([][]float64{{vals[8], vals[9]}, {vals[10], vals[11]}})
-		sum := a1.Clone()
-		sum.Add(a2)
+		a1 := dense([]float64{vals[0], vals[1]}, []float64{vals[2], vals[3]})
+		a2 := dense([]float64{vals[4], vals[5]}, []float64{vals[6], vals[7]})
+		b := dense([]float64{vals[8], vals[9]}, []float64{vals[10], vals[11]})
+		sum := dense(a1.Row(0), a1.Row(1))
+		sum.Axpy(1, a2)
 		lhs := New(2, 2)
 		Mul(lhs, sum, b)
 		r1, r2 := New(2, 2), New(2, 2)
 		Mul(r1, a1, b)
 		Mul(r2, a2, b)
-		r1.Add(r2)
+		r1.Axpy(1, r2)
 		for i := range lhs.Data {
 			scale := 1 + math.Abs(lhs.Data[i])
 			if math.Abs(lhs.Data[i]-r1.Data[i]) > 1e-9*scale {
@@ -177,4 +145,13 @@ func TestMulLinearity(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
+}
+
+// dense builds a matrix from equal-length rows.
+func dense(rows ...[]float64) *Dense {
+	m := New(len(rows), len(rows[0]))
+	for i, r := range rows {
+		copy(m.Row(i), r)
+	}
+	return m
 }

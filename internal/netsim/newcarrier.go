@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"auric/internal/lte"
-	"auric/internal/paramspec"
 	"auric/internal/rng"
 )
 
@@ -82,17 +81,4 @@ func (w *World) RulebookSingularFor(c *lte.Carrier) []float64 {
 		out[pi] = p.ValueAt(bi)
 	}
 	return out
-}
-
-// IntendedPairFor returns the engineer-intended value of one pair-wise
-// parameter on the carrier→neighbor relation.
-func (w *World) IntendedPairFor(c *lte.Carrier, neighbor lte.CarrierID, pi int) float64 {
-	p := w.Schema.At(pi)
-	if p.Kind != paramspec.PairWise {
-		panic("netsim: IntendedPairFor on a singular parameter")
-	}
-	cluster := w.ENodeBCluster[c.ENodeB]
-	attrs := lte.PairAttributeVector(c, &w.Net.Carriers[neighbor])
-	bi, _ := w.intendedIndex(p, w.TrueDependencies(pi), attrs, c.Market, cluster, c.Terrain)
-	return p.ValueAt(bi)
 }

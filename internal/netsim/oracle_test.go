@@ -88,23 +88,3 @@ func TestNewCarrierAtProperties(t *testing.T) {
 		}
 	}
 }
-
-func TestIntendedPairFor(t *testing.T) {
-	w := Generate(Options{Seed: 54, Markets: 1, ENodeBsPerMarket: 10})
-	pi := w.Schema.PairWise()[0]
-	c := &w.Net.Carriers[0]
-	nbs := w.X2.CarrierNeighbors(c.ID)
-	if len(nbs) == 0 {
-		t.Skip("carrier 0 has no neighbors")
-	}
-	v := w.IntendedPairFor(c, nbs[0], pi)
-	if !w.Schema.At(pi).Valid(v) {
-		t.Fatalf("intended pair value %v off grid", v)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("IntendedPairFor on singular parameter did not panic")
-		}
-	}()
-	w.IntendedPairFor(c, nbs[0], w.Schema.Singular()[0])
-}

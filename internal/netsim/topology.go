@@ -7,18 +7,12 @@ import (
 	"auric/internal/rng"
 )
 
-// Frequencies available per band, and the EARFCN-like channel number each
-// maps to (the "neighbor channel" attribute of Table 1 takes values such
-// as 444/555/666; we use one channel id per frequency).
-var (
-	lowBandFreqs  = []int{700, 850}
-	midBandFreqs  = []int{1700, 1900}
-	highBandFreqs = []int{2100, 2300}
-
-	channelOfFreq = map[int]int{
-		700: 5110, 850: 2450, 1700: 675, 1900: 725, 2100: 2000, 2300: 3050,
-	}
-)
+// channelOfFreq maps each carrier frequency (MHz) to its EARFCN-like
+// channel number (the "neighbor channel" attribute of Table 1 takes values
+// such as 444/555/666; we use one channel id per frequency).
+var channelOfFreq = map[int]int{
+	700: 5110, 850: 2450, 1700: 675, 1900: 725, 2100: 2000, 2300: 3050,
+}
 
 var timezones = []string{"Eastern", "Central", "Mountain", "Pacific"}
 

@@ -12,59 +12,28 @@ import (
 )
 
 type column struct {
-	name       string
 	categories []string
 	index      map[string]int
 	offset     int // first output column of this block
 }
 
 // Encoder maps rows of categorical string values to dense binary vectors.
-// Build one with Fit; a fitted encoder is safe for concurrent Transform
-// calls.
+// Build one with FitTable; a fitted encoder is safe for concurrent
+// TransformTo calls.
 type Encoder struct {
 	cols  []column
 	width int
 }
 
-// Fit learns the category vocabulary of each input column from rows.
-// names supplies one name per input column (used for feature naming) and
-// must match the row width. Categories are numbered in first-seen order,
-// which is deterministic for a deterministic input order.
-func Fit(names []string, rows [][]string) *Encoder {
-	e := &Encoder{cols: make([]column, len(names))}
-	for i, n := range names {
-		e.cols[i] = column{name: n, index: make(map[string]int)}
-	}
-	for _, row := range rows {
-		if len(row) != len(names) {
-			panic(fmt.Sprintf("onehot: row width %d, want %d", len(row), len(names)))
-		}
-		for i, v := range row {
-			c := &e.cols[i]
-			if _, ok := c.index[v]; !ok {
-				c.index[v] = len(c.categories)
-				c.categories = append(c.categories, v)
-			}
-		}
-	}
-	off := 0
-	for i := range e.cols {
-		e.cols[i].offset = off
-		off += len(e.cols[i].categories)
-	}
-	e.width = off
-	return e
-}
-
-// FitTable learns the category vocabulary from a dataset table's interned
-// columns without materializing string rows. The vocabulary and category
-// order are identical to Fit(t.ColNames, rows-of-t): first-seen in table
-// row order, per column.
+// FitTable learns the category vocabulary of each column of a dataset
+// table from its interned codes, without materializing string rows.
+// Categories are numbered in first-seen table row order, per column, which
+// is deterministic for a deterministic table.
 func FitTable(t *dataset.Table) *Encoder {
 	e := &Encoder{cols: make([]column, t.NumCols())}
 	for ci := range e.cols {
 		c := &e.cols[ci]
-		*c = column{name: t.ColNames[ci], index: make(map[string]int)}
+		*c = column{index: make(map[string]int)}
 		d := t.Dict(ci)
 		seen := make([]int, d.Len())
 		for i := range seen {
@@ -89,9 +58,9 @@ func FitTable(t *dataset.Table) *Encoder {
 }
 
 // TransformTable encodes every row of a dataset table into a dense
-// row-major buffer of shape t.Len() x Width(), equivalent to TransformAll
-// over the table's string rows but driven column-major by the interned
-// codes through a per-column code -> output-column table.
+// row-major buffer of shape t.Len() x Width(), equivalent to TransformTo
+// on each of the table's string rows but driven column-major by the
+// interned codes through a per-column code -> output-column table.
 func (e *Encoder) TransformTable(t *dataset.Table) []float64 {
 	if t.NumCols() != len(e.cols) {
 		panic(fmt.Sprintf("onehot: table width %d, want %d", t.NumCols(), len(e.cols)))
@@ -120,21 +89,11 @@ func (e *Encoder) TransformTable(t *dataset.Table) []float64 {
 // Width reports the number of output columns (the total category count).
 func (e *Encoder) Width() int { return e.width }
 
-// NumInputs reports the number of input columns.
-func (e *Encoder) NumInputs() int { return len(e.cols) }
-
-// Transform encodes one row. Unseen categories encode as an all-zero block
-// for their column, which is the natural "no match" representation for a
-// new carrier whose attribute value was never observed (Sec 6,
-// "bootstrapping configuration for the unobserved").
-func (e *Encoder) Transform(row []string) []float64 {
-	out := make([]float64, e.width)
-	e.TransformTo(out, row)
-	return out
-}
-
 // TransformTo encodes one row into dst, which must have length Width().
-// dst is zeroed first.
+// dst is zeroed first. Unseen categories encode as an all-zero block for
+// their column, which is the natural "no match" representation for a new
+// carrier whose attribute value was never observed (Sec 6, "bootstrapping
+// configuration for the unobserved").
 func (e *Encoder) TransformTo(dst []float64, row []string) {
 	if len(row) != len(e.cols) {
 		panic(fmt.Sprintf("onehot: row width %d, want %d", len(row), len(e.cols)))
@@ -151,45 +110,4 @@ func (e *Encoder) TransformTo(dst []float64, row []string) {
 			dst[c.offset+j] = 1
 		}
 	}
-}
-
-// TransformAll encodes a batch of rows into a dense row-major buffer of
-// shape len(rows) x Width().
-func (e *Encoder) TransformAll(rows [][]string) []float64 {
-	out := make([]float64, len(rows)*e.width)
-	for i, row := range rows {
-		e.TransformTo(out[i*e.width:(i+1)*e.width], row)
-	}
-	return out
-}
-
-// FeatureNames returns the output column names in encoding order, formed
-// as "column=category".
-func (e *Encoder) FeatureNames() []string {
-	out := make([]string, 0, e.width)
-	for _, c := range e.cols {
-		for _, cat := range c.categories {
-			out = append(out, c.name+"="+cat)
-		}
-	}
-	return out
-}
-
-// FeatureColumn identifies the input column index that produced output
-// column j.
-func (e *Encoder) FeatureColumn(j int) int {
-	for i := len(e.cols) - 1; i >= 0; i-- {
-		if j >= e.cols[i].offset {
-			return i
-		}
-	}
-	return -1
-}
-
-// Categories returns the category vocabulary of input column i, in
-// encoding order.
-func (e *Encoder) Categories(i int) []string {
-	out := make([]string, len(e.cols[i].categories))
-	copy(out, e.cols[i].categories)
-	return out
 }

@@ -4,17 +4,33 @@ import (
 	"testing"
 	"testing/quick"
 
+	"auric/internal/dataset"
 	"auric/internal/rng"
 )
 
-func fitSample() *Encoder {
-	rows := [][]string{
-		{"urban", "700"},
-		{"suburban", "1900"},
-		{"rural", "700"},
-		{"urban", "2100"},
+// table hand-assembles a dataset table with the given columns and rows.
+func table(names []string, rows ...[]string) *dataset.Table {
+	t := &dataset.Table{ColNames: names}
+	for _, r := range rows {
+		t.AppendRow(r)
 	}
-	return Fit([]string{"morphology", "freq"}, rows)
+	return t
+}
+
+// encode returns e's encoding of one row.
+func encode(e *Encoder, row []string) []float64 {
+	out := make([]float64, e.Width())
+	e.TransformTo(out, row)
+	return out
+}
+
+func fitSample() *Encoder {
+	return FitTable(table([]string{"morphology", "freq"},
+		[]string{"urban", "700"},
+		[]string{"suburban", "1900"},
+		[]string{"rural", "700"},
+		[]string{"urban", "2100"},
+	))
 }
 
 func TestWidthAndNames(t *testing.T) {
@@ -22,15 +38,14 @@ func TestWidthAndNames(t *testing.T) {
 	if e.Width() != 6 { // 3 morphologies + 3 frequencies
 		t.Fatalf("Width = %d, want 6", e.Width())
 	}
-	if e.NumInputs() != 2 {
-		t.Fatalf("NumInputs = %d", e.NumInputs())
-	}
-	names := e.FeatureNames()
-	want := []string{"morphology=urban", "morphology=suburban", "morphology=rural",
-		"freq=700", "freq=1900", "freq=2100"}
-	for i, w := range want {
-		if names[i] != w {
-			t.Errorf("feature %d = %q, want %q", i, names[i], w)
+	// Output columns run column by column, categories in first-seen order:
+	// morphology=urban, =suburban, =rural, freq=700, =1900, =2100.
+	morphs := []string{"urban", "suburban", "rural"}
+	freqs := []string{"700", "1900", "2100"}
+	for i := range morphs {
+		v := encode(e, []string{morphs[i], freqs[i]})
+		if v[i] != 1 || v[3+i] != 1 {
+			t.Errorf("%s/%s encodes as %v, want bits %d and %d", morphs[i], freqs[i], v, i, 3+i)
 		}
 	}
 }
@@ -38,12 +53,12 @@ func TestWidthAndNames(t *testing.T) {
 func TestTransformPaperExample(t *testing.T) {
 	// Sec 4.2: a vector with values a, b, c; the carrier with value b
 	// encodes as 0, 1, 0.
-	e := Fit([]string{"x"}, [][]string{{"a"}, {"b"}, {"c"}})
-	got := e.Transform([]string{"b"})
+	e := FitTable(table([]string{"x"}, []string{"a"}, []string{"b"}, []string{"c"}))
+	got := encode(e, []string{"b"})
 	want := []float64{0, 1, 0}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("Transform(b) = %v, want %v", got, want)
+			t.Fatalf("encoding of b = %v, want %v", got, want)
 		}
 	}
 }
@@ -52,7 +67,7 @@ func TestBlockSumsToOne(t *testing.T) {
 	// Sec 4.2: "the sum of the one-hot numeric array for a particular
 	// carrier should be equal to 1" — per attribute block.
 	e := fitSample()
-	v := e.Transform([]string{"rural", "2100"})
+	v := encode(e, []string{"rural", "2100"})
 	sum := 0.0
 	for _, x := range v {
 		sum += x
@@ -67,7 +82,7 @@ func TestBlockSumsToOne(t *testing.T) {
 
 func TestUnseenCategoryIsZeroBlock(t *testing.T) {
 	e := fitSample()
-	v := e.Transform([]string{"urban", "850"}) // 850 never observed
+	v := encode(e, []string{"urban", "850"}) // 850 never observed
 	if v[0] != 1 {
 		t.Error("seen category not encoded")
 	}
@@ -94,38 +109,16 @@ func TestTransformToReusesBuffer(t *testing.T) {
 	}
 }
 
+// TestTransformAll encodes a whole table in one TransformTable call.
 func TestTransformAll(t *testing.T) {
 	e := fitSample()
-	rows := [][]string{{"urban", "700"}, {"rural", "1900"}}
-	flat := e.TransformAll(rows)
+	flat := e.TransformTable(table([]string{"morphology", "freq"},
+		[]string{"urban", "700"}, []string{"rural", "1900"}))
 	if len(flat) != 2*e.Width() {
-		t.Fatalf("TransformAll length %d", len(flat))
+		t.Fatalf("TransformTable length %d", len(flat))
 	}
 	if flat[0] != 1 || flat[e.Width()+2] != 1 {
-		t.Error("TransformAll rows mis-encoded")
-	}
-}
-
-func TestFeatureColumn(t *testing.T) {
-	e := fitSample()
-	for j := 0; j < 3; j++ {
-		if e.FeatureColumn(j) != 0 {
-			t.Errorf("FeatureColumn(%d) = %d, want 0", j, e.FeatureColumn(j))
-		}
-	}
-	for j := 3; j < 6; j++ {
-		if e.FeatureColumn(j) != 1 {
-			t.Errorf("FeatureColumn(%d) = %d, want 1", j, e.FeatureColumn(j))
-		}
-	}
-}
-
-func TestCategoriesCopy(t *testing.T) {
-	e := fitSample()
-	cats := e.Categories(0)
-	cats[0] = "mutated"
-	if e.Categories(0)[0] != "urban" {
-		t.Error("Categories returned a live reference")
+		t.Error("TransformTable rows mis-encoded")
 	}
 }
 
@@ -136,7 +129,7 @@ func TestWidthMismatchPanics(t *testing.T) {
 			t.Error("short row did not panic")
 		}
 	}()
-	e.Transform([]string{"urban"})
+	encode(e, []string{"urban"})
 }
 
 func TestPropertyExactlyOneHotPerSeenColumn(t *testing.T) {
@@ -149,10 +142,10 @@ func TestPropertyExactlyOneHotPerSeenColumn(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		rows = append(rows, []string{rng.Pick(r, vocabA), rng.Pick(r, vocabB)})
 	}
-	e := Fit([]string{"A", "B"}, rows)
+	e := FitTable(table([]string{"A", "B"}, rows...))
 	f := func(ai, bi uint8) bool {
 		row := []string{vocabA[int(ai)%len(vocabA)], vocabB[int(bi)%len(vocabB)]}
-		v := e.Transform(row)
+		v := encode(e, row)
 		ones := 0
 		for _, x := range v {
 			if x == 1 {

@@ -58,7 +58,6 @@ const (
 	Mobility
 	InterferenceManagement
 	CongestionControl
-	numCategories
 )
 
 var categoryNames = [...]string{
@@ -80,9 +79,6 @@ func (c Category) String() string {
 	}
 	return categoryNames[c]
 }
-
-// NumCategories reports how many functional categories exist.
-func NumCategories() int { return int(numCategories) }
 
 // Param describes one range configuration parameter.
 type Param struct {
@@ -237,22 +233,6 @@ func (s *Schema) Len() int { return len(s.params) }
 
 // At returns the i-th parameter.
 func (s *Schema) At(i int) Param { return s.params[i] }
-
-// Params returns a copy of the parameter list.
-func (s *Schema) Params() []Param {
-	out := make([]Param, len(s.params))
-	copy(out, s.params)
-	return out
-}
-
-// ByName looks a parameter up by name.
-func (s *Schema) ByName(name string) (Param, bool) {
-	i, ok := s.byName[name]
-	if !ok {
-		return Param{}, false
-	}
-	return s.params[i], true
-}
 
 // IndexOf returns the position of the named parameter, or -1.
 func (s *Schema) IndexOf(name string) int {

@@ -36,11 +36,12 @@ func TestDefaultSchemaNamedParams(t *testing.T) {
 		{"capacityThreshold", 0, 100, 1, Singular},
 	}
 	for _, tc := range tests {
-		p, ok := s.ByName(tc.name)
-		if !ok {
+		i := s.IndexOf(tc.name)
+		if i < 0 {
 			t.Errorf("parameter %s missing from default schema", tc.name)
 			continue
 		}
+		p := s.At(i)
 		if p.Min != tc.min || p.Max != tc.max || p.Step != tc.step {
 			t.Errorf("%s range = [%v,%v] step %v, want [%v,%v] step %v",
 				tc.name, p.Min, p.Max, p.Step, tc.min, tc.max, tc.step)
@@ -87,7 +88,9 @@ func TestQuantizeClamps(t *testing.T) {
 }
 
 func TestQuantizeIsIdempotentAndValid(t *testing.T) {
-	for _, p := range Default().Params() {
+	s := Default()
+	for i := 0; i < s.Len(); i++ {
+		p := s.At(i)
 		f := func(raw float64) bool {
 			if math.IsNaN(raw) || math.IsInf(raw, 0) {
 				return true
@@ -104,7 +107,9 @@ func TestQuantizeIsIdempotentAndValid(t *testing.T) {
 }
 
 func TestIndexValueRoundTrip(t *testing.T) {
-	for _, p := range Default().Params() {
+	s := Default()
+	for i := 0; i < s.Len(); i++ {
+		p := s.At(i)
 		n := p.Levels()
 		if n > 500 {
 			n = 500 // sample the head of very large grids (sFreqPrio etc.)
@@ -170,9 +175,6 @@ func TestNewSchemaRejectsDuplicates(t *testing.T) {
 
 func TestSchemaLookup(t *testing.T) {
 	s := Default()
-	if _, ok := s.ByName("noSuchParameter"); ok {
-		t.Error("ByName returned ok for a missing parameter")
-	}
 	if got := s.IndexOf("noSuchParameter"); got != -1 {
 		t.Errorf("IndexOf(missing) = %d, want -1", got)
 	}

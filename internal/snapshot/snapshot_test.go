@@ -39,8 +39,8 @@ func TestRoundTripFile(t *testing.T) {
 		}
 	}
 	// Pair-wise values survive.
-	if cfg.NumEdges() != w.Current.NumEdges() {
-		t.Fatalf("edge count %d != %d", cfg.NumEdges(), w.Current.NumEdges())
+	if len(cfg.Edges()) != len(w.Current.Edges()) {
+		t.Fatalf("edge count %d != %d", len(cfg.Edges()), len(w.Current.Edges()))
 	}
 	pi := w.Schema.PairWise()[3]
 	for _, e := range w.Current.Edges()[:50] {
@@ -54,8 +54,8 @@ func TestRoundTripFile(t *testing.T) {
 	if cfg.Schema().Len() != w.Schema.Len() {
 		t.Fatal("schema size changed")
 	}
-	p, ok := cfg.Schema().ByName("hysA3Offset")
-	if !ok || p.Step != 0.5 {
+	i := cfg.Schema().IndexOf("hysA3Offset")
+	if i < 0 || cfg.Schema().At(i).Step != 0.5 {
 		t.Fatal("schema parameter lost")
 	}
 }
@@ -179,7 +179,7 @@ func TestReadsFormatV1(t *testing.T) {
 			t.Fatalf("eNodeB %d vendor changed through v1 load", i)
 		}
 	}
-	if cfg.Schema().Len() != schema.Len() || cfg.NumEdges() != w.Current.NumEdges() {
+	if cfg.Schema().Len() != schema.Len() || len(cfg.Edges()) != len(w.Current.Edges()) {
 		t.Fatal("configuration changed through v1 load")
 	}
 }

@@ -129,44 +129,3 @@ func (t *Contingency) CramersV(stat float64) float64 {
 	}
 	return math.Sqrt(stat / (n * float64(k-1)))
 }
-
-// PValue returns the chi-square test p-value for the table. Degenerate
-// tables return 1 (no evidence of dependence).
-func (t *Contingency) PValue() float64 {
-	stat, df := t.ChiSquare()
-	if df == 0 {
-		return 1
-	}
-	return ChiSquareSF(stat, df)
-}
-
-// Dependent reports whether the table rejects independence at significance
-// level alpha: the statistic exceeds the critical value of the chi-square
-// distribution with (R-1)(C-1) degrees of freedom (Sec 3.2).
-func (t *Contingency) Dependent(alpha float64) bool {
-	stat, df := t.ChiSquare()
-	if df == 0 {
-		return false
-	}
-	return stat > ChiSquareCritical(df, alpha)
-}
-
-// TestIndependence is a convenience wrapper: it builds the contingency
-// table of two parallel label slices and reports whether they are dependent
-// at significance alpha, with the statistic and p-value. It panics if the
-// slices differ in length.
-func TestIndependence(rowVals, colVals []string, alpha float64) (dependent bool, stat, p float64) {
-	if len(rowVals) != len(colVals) {
-		panic("stats: TestIndependence slices differ in length")
-	}
-	t := NewContingency()
-	for i := range rowVals {
-		t.Add(rowVals[i], colVals[i])
-	}
-	stat, df := t.ChiSquare()
-	if df == 0 {
-		return false, stat, 1
-	}
-	p = ChiSquareSF(stat, df)
-	return stat > ChiSquareCritical(df, alpha), stat, p
-}

@@ -39,20 +39,6 @@ func NewCountTable(r, c int) *CountTable {
 	return &CountTable{r: r, c: c, counts: make([]int, r*c), dirty: true}
 }
 
-// Reset reshapes the table to r x c and zeroes every cell, reusing the
-// backing arrays when they are large enough. The receiver may be the zero
-// CountTable, so a pooled scratch value needs no constructor.
-func (t *CountTable) Reset(r, c int) {
-	t.r, t.c, t.total, t.dirty = r, c, 0, true
-	n := r * c
-	if cap(t.counts) < n {
-		t.counts = make([]int, n)
-		return
-	}
-	t.counts = t.counts[:n]
-	clear(t.counts)
-}
-
 // Add counts one observation of (attribute code, label code).
 func (t *CountTable) Add(r, c int) {
 	t.counts[r*t.c+c]++
@@ -72,10 +58,9 @@ func (t *CountTable) Sub(r, c int) {
 // Count returns the cell count for (attribute code, label code).
 func (t *CountTable) Count(r, c int) int { return t.counts[r*t.c+c] }
 
-// Rows and Cols report the table dimensions (the dictionary cardinalities
-// it was shaped for, not the effective observed dimensions).
+// Rows reports the table's row dimension (the attribute dictionary
+// cardinality it was shaped for, not the effective observed rows).
 func (t *CountTable) Rows() int { return t.r }
-func (t *CountTable) Cols() int { return t.c }
 
 // Clone returns an independent copy of the table. Incremental fit clones a
 // model's persistent count tables before patching them, so the previous
@@ -104,9 +89,6 @@ func (t *CountTable) Grow(r, c int) {
 	}
 	t.r, t.c, t.counts, t.dirty = r, c, counts, true
 }
-
-// Total returns the number of observations.
-func (t *CountTable) Total() int { return t.total }
 
 // marginals returns the row and column sums and the effective dimensions
 // (rows and columns with at least one observation). The returned slices

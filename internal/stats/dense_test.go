@@ -61,7 +61,7 @@ func TestCountTableAccessors(t *testing.T) {
 	if ct.Count(1, 2) != 2 || ct.Count(0, 1) != 1 || ct.Count(0, 0) != 0 {
 		t.Error("Count mismatch")
 	}
-	if ct.Total() != 3 {
-		t.Errorf("Total = %d", ct.Total())
+	if ct.total != 3 {
+		t.Errorf("total = %d", ct.total)
 	}
 }

@@ -9,28 +9,13 @@ import (
 // follow the classic series/continued-fraction split (Numerical Recipes
 // §6.2): the series converges quickly for x < a+1, the Lentz continued
 // fraction for x >= a+1. They are the only special functions the chi-square
-// test needs: for X ~ χ²(k), CDF(x) = P(k/2, x/2).
+// test needs: for X ~ χ²(k), SF(x) = Q(k/2, x/2).
 
 const (
 	gammaEps   = 1e-14
 	gammaItMax = 500
 	gammaFPMin = 1e-300
 )
-
-// lowerRegGamma computes P(a, x), the regularized lower incomplete gamma
-// function, for a > 0, x >= 0.
-func lowerRegGamma(a, x float64) float64 {
-	switch {
-	case x < 0 || a <= 0:
-		return math.NaN()
-	case x == 0:
-		return 0
-	case x < a+1:
-		return gammaSeries(a, x)
-	default:
-		return 1 - gammaContinuedFraction(a, x)
-	}
-}
 
 // upperRegGamma computes Q(a, x) = 1 - P(a, x).
 func upperRegGamma(a, x float64) float64 {
@@ -89,14 +74,6 @@ func gammaContinuedFraction(a, x float64) float64 {
 		}
 	}
 	return math.Exp(-x+a*math.Log(x)-lg) * h
-}
-
-// ChiSquareCDF returns P(X <= x) for X ~ χ² with df degrees of freedom.
-func ChiSquareCDF(x float64, df int) float64 {
-	if df <= 0 || x <= 0 {
-		return 0
-	}
-	return lowerRegGamma(float64(df)/2, x/2)
 }
 
 // ChiSquareSF returns the survival function P(X > x) for X ~ χ²(df) — the

@@ -4,10 +4,7 @@
 // implementation of the regularized incomplete gamma function.
 package stats
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // Mean returns the arithmetic mean of xs, or 0 for an empty slice.
 func Mean(xs []float64) float64 {
@@ -17,21 +14,6 @@ func Mean(xs []float64) float64 {
 	sum := 0.0
 	for _, x := range xs {
 		sum += x
-	}
-	return sum / float64(len(xs))
-}
-
-// Variance returns the population variance of xs, or 0 for fewer than two
-// samples.
-func Variance(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	sum := 0.0
-	for _, x := range xs {
-		d := x - m
-		sum += d * d
 	}
 	return sum / float64(len(xs))
 }
@@ -99,46 +81,4 @@ func ClassifySkew(s float64) SkewClass {
 	default:
 		return Symmetric
 	}
-}
-
-// DistinctValues counts the number of distinct values in xs (the paper's
-// "variability" of a configuration parameter, Fig 2).
-func DistinctValues(xs []float64) int {
-	if len(xs) == 0 {
-		return 0
-	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-	n := 1
-	for i := 1; i < len(sorted); i++ {
-		if sorted[i] != sorted[i-1] {
-			n++
-		}
-	}
-	return n
-}
-
-// Quantile returns the q-quantile (0 <= q <= 1) of xs using linear
-// interpolation, or 0 for an empty slice.
-func Quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-	if q <= 0 {
-		return sorted[0]
-	}
-	if q >= 1 {
-		return sorted[len(sorted)-1]
-	}
-	pos := q * float64(len(sorted)-1)
-	lo := int(math.Floor(pos))
-	frac := pos - float64(lo)
-	if lo+1 >= len(sorted) {
-		return sorted[lo]
-	}
-	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
 }

@@ -8,16 +8,13 @@ import (
 
 func almost(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
-func TestMeanVariance(t *testing.T) {
+func TestMean(t *testing.T) {
 	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
 	if m := Mean(xs); m != 5 {
 		t.Errorf("Mean = %v, want 5", m)
 	}
-	if v := Variance(xs); v != 4 {
-		t.Errorf("Variance = %v, want 4", v)
-	}
-	if Mean(nil) != 0 || Variance(nil) != 0 || Variance([]float64{1}) != 0 {
-		t.Error("degenerate inputs should yield 0")
+	if Mean(nil) != 0 {
+		t.Error("empty input should yield 0")
 	}
 }
 
@@ -83,40 +80,12 @@ func TestClassifySkew(t *testing.T) {
 	}
 }
 
-func TestDistinctValues(t *testing.T) {
-	if got := DistinctValues([]float64{1, 1, 2, 3, 3, 3}); got != 3 {
-		t.Errorf("DistinctValues = %d, want 3", got)
-	}
-	if got := DistinctValues(nil); got != 0 {
-		t.Errorf("DistinctValues(nil) = %d, want 0", got)
-	}
-	if got := DistinctValues([]float64{7}); got != 1 {
-		t.Errorf("DistinctValues single = %d, want 1", got)
-	}
-}
-
-func TestQuantile(t *testing.T) {
-	xs := []float64{10, 20, 30, 40, 50}
-	if q := Quantile(xs, 0); q != 10 {
-		t.Errorf("q0 = %v", q)
-	}
-	if q := Quantile(xs, 1); q != 50 {
-		t.Errorf("q1 = %v", q)
-	}
-	if q := Quantile(xs, 0.5); q != 30 {
-		t.Errorf("median = %v", q)
-	}
-	if q := Quantile(xs, 0.25); q != 20 {
-		t.Errorf("q25 = %v", q)
-	}
-}
-
 func TestChiSquareCDFReferenceValues(t *testing.T) {
 	// Reference values from standard chi-square tables.
 	tests := []struct {
 		x    float64
 		df   int
-		want float64 // CDF
+		want float64 // CDF, checked as 1 - SF
 	}{
 		{3.841, 1, 0.95},
 		{5.991, 2, 0.95},
@@ -127,21 +96,9 @@ func TestChiSquareCDFReferenceValues(t *testing.T) {
 		{11.070, 5, 0.95},
 	}
 	for _, tc := range tests {
-		got := ChiSquareCDF(tc.x, tc.df)
+		got := 1 - ChiSquareSF(tc.x, tc.df)
 		if !almost(got, tc.want, 5e-4) {
-			t.Errorf("ChiSquareCDF(%v, %d) = %v, want %v", tc.x, tc.df, got, tc.want)
-		}
-	}
-}
-
-func TestChiSquareSFComplement(t *testing.T) {
-	for _, df := range []int{1, 2, 5, 10, 50} {
-		for _, x := range []float64{0.5, 1, 5, 20, 80} {
-			cdf := ChiSquareCDF(x, df)
-			sf := ChiSquareSF(x, df)
-			if !almost(cdf+sf, 1, 1e-10) {
-				t.Errorf("CDF+SF = %v for x=%v df=%d", cdf+sf, x, df)
-			}
+			t.Errorf("1 - ChiSquareSF(%v, %d) = %v, want %v", tc.x, tc.df, got, tc.want)
 		}
 	}
 }
@@ -208,7 +165,7 @@ func TestChiSquareIndependentTable(t *testing.T) {
 	if !almost(stat, 0, 1e-9) {
 		t.Errorf("independent table stat = %v, want 0", stat)
 	}
-	if ct.Dependent(0.01) {
+	if stat > ChiSquareCritical(df, 0.01) {
 		t.Error("independent table flagged dependent")
 	}
 }
@@ -226,10 +183,10 @@ func TestChiSquareDependentTable(t *testing.T) {
 	if stat < 250 { // perfect association of 150 samples over 3x3 => 2*N = 300
 		t.Errorf("dependent table stat = %v, want large", stat)
 	}
-	if !ct.Dependent(0.01) {
+	if stat <= ChiSquareCritical(df, 0.01) {
 		t.Error("perfectly dependent table not flagged at alpha=0.01")
 	}
-	if p := ct.PValue(); p > 1e-10 {
+	if p := ChiSquareSF(stat, df); p > 1e-10 {
 		t.Errorf("p-value = %v, want ~0", p)
 	}
 }
@@ -242,15 +199,26 @@ func TestChiSquareDegenerateTable(t *testing.T) {
 	if stat != 0 || df != 0 {
 		t.Errorf("single-row table: stat=%v df=%d, want 0,0", stat, df)
 	}
-	if ct.Dependent(0.01) {
-		t.Error("degenerate table flagged dependent")
-	}
-	if ct.PValue() != 1 {
-		t.Errorf("degenerate p-value = %v, want 1", ct.PValue())
+	if p := ChiSquareSF(stat, df); p != 1 {
+		t.Errorf("degenerate p-value = %v, want 1", p)
 	}
 }
 
+// TestTestIndependence runs the chi-square test of independence of Sec 3.2
+// on two parallel label slices: the statistic against the critical value,
+// and the p-value from the survival function.
 func TestTestIndependence(t *testing.T) {
+	test := func(rows, cols []string) (dependent bool, stat, p float64) {
+		ct := NewContingency()
+		for i := range rows {
+			ct.Add(rows[i], cols[i])
+		}
+		stat, df := ct.ChiSquare()
+		if df == 0 {
+			return false, stat, 1
+		}
+		return stat > ChiSquareCritical(df, 0.01), stat, ChiSquareSF(stat, df)
+	}
 	// Dependent: col mirrors row.
 	rows := make([]string, 0, 300)
 	cols := make([]string, 0, 300)
@@ -260,7 +228,7 @@ func TestTestIndependence(t *testing.T) {
 		rows = append(rows, l)
 		cols = append(cols, l+"-val")
 	}
-	dep, stat, p := TestIndependence(rows, cols, 0.01)
+	dep, stat, p := test(rows, cols)
 	if !dep || stat <= 0 || p > 1e-10 {
 		t.Errorf("mirrored labels: dep=%v stat=%v p=%v", dep, stat, p)
 	}
@@ -268,37 +236,29 @@ func TestTestIndependence(t *testing.T) {
 	for i := range cols {
 		cols[i] = "same"
 	}
-	dep, _, p = TestIndependence(rows, cols, 0.01)
+	dep, _, p = test(rows, cols)
 	if dep || p != 1 {
 		t.Errorf("constant column: dep=%v p=%v, want false, 1", dep, p)
 	}
 }
 
-func TestTestIndependenceLengthMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("length mismatch did not panic")
-		}
-	}()
-	TestIndependence([]string{"a"}, []string{"x", "y"}, 0.05)
-}
-
 func TestGammaEdgeCases(t *testing.T) {
-	if !math.IsNaN(lowerRegGamma(-1, 1)) {
-		t.Error("P(a<=0, x) should be NaN")
-	}
-	if lowerRegGamma(2, 0) != 0 {
-		t.Error("P(a, 0) should be 0")
+	if !math.IsNaN(upperRegGamma(-1, 1)) {
+		t.Error("Q(a<=0, x) should be NaN")
 	}
 	if upperRegGamma(2, 0) != 1 {
 		t.Error("Q(a, 0) should be 1")
 	}
-	// P + Q = 1 across regimes (series and continued fraction).
+	// Q stays in (0, 1] and never rises with x, across both regimes
+	// (series below x = a+1, continued fraction above).
 	for _, a := range []float64{0.5, 1, 2.5, 10} {
+		prev := 1.0
 		for _, x := range []float64{0.1, 1, 3, 10, 100} {
-			if s := lowerRegGamma(a, x) + upperRegGamma(a, x); !almost(s, 1, 1e-10) {
-				t.Errorf("P+Q = %v for a=%v x=%v", s, a, x)
+			q := upperRegGamma(a, x)
+			if q <= 0 || q > prev {
+				t.Errorf("Q(%v, %v) = %v, not in (0, %v]", a, x, q, prev)
 			}
+			prev = q
 		}
 	}
 }

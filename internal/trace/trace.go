@@ -144,9 +144,6 @@ func New(opts Options) *Tracer {
 	}
 }
 
-// Options returns the tracer's effective configuration.
-func (t *Tracer) Options() Options { return t.opts }
-
 func (t *Tracer) coin() bool {
 	if t.sampleBits == 0 {
 		return false

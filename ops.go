@@ -3,9 +3,7 @@ package auric
 import (
 	"auric/internal/controller"
 	"auric/internal/ems"
-	"auric/internal/kpi"
 	"auric/internal/launch"
-	"auric/internal/netsim"
 	"auric/internal/rng"
 )
 
@@ -73,27 +71,3 @@ func SimulateLaunches(w *World, opts LaunchSimOptions) (LaunchSimResult, []Launc
 // NewRand returns a deterministic random stream (used, e.g., by
 // World.NewCarrierAt).
 func NewRand(seed uint64) *Rand { return rng.New(seed) }
-
-// Service-performance feedback (the Sec 6 extension; see internal/kpi).
-type (
-	// KPISimulator derives per-carrier KPIs from configuration deviation.
-	KPISimulator = kpi.Simulator
-	// KPIReport is one carrier's KPI snapshot.
-	KPIReport = kpi.Report
-	// KPIMetric identifies one key performance indicator.
-	KPIMetric = kpi.Metric
-)
-
-// KPI metrics.
-const (
-	DownlinkThroughput  = kpi.DownlinkThroughput
-	CallDropRate        = kpi.CallDropRate
-	HandoverFailureRate = kpi.HandoverFailureRate
-	AccessibilityRate   = kpi.AccessibilityRate
-)
-
-// NewKPISimulator creates a KPI simulator over a generated world.
-func NewKPISimulator(w *netsim.World, seed uint64) *KPISimulator { return kpi.NewSimulator(w, seed) }
-
-// KPIScore condenses a KPI report into a quality score in [0, 1].
-func KPIScore(r KPIReport) float64 { return kpi.Score(r) }

@@ -2,7 +2,9 @@
 // bench-json files (the machine-readable output of scripts/bench_json.sh):
 // for every benchmark present in both files, each shared numeric metric is
 // shown as old -> new with its relative delta, negative deltas being
-// improvements for cost metrics (ns/op, B/op, allocs/op).
+// improvements for cost metrics (ns/op, B/op, allocs/op). A benchmark the
+// old file has and the new one lacks gets a "gone" line; it never fails
+// the gate.
 //
 // When a file holds repeated runs of the same benchmark (bench_json.sh
 // with COUNT>1), the runs are folded into mean ± spread, where spread is
@@ -100,7 +102,7 @@ func gateFor(metric string, maxRegress, maxAllocRegress float64) float64 {
 // gated metric (ns/op vs maxRegress, allocs/op vs maxAllocRegress) trips
 // its regression gate.
 func compare(w io.Writer, oldF, newF *benchFile, maxRegress, maxAllocRegress float64) bool {
-	oldBy, _ := aggregate(oldF)
+	oldBy, oldOrder := aggregate(oldF)
 	newBy, order := aggregate(newF)
 	var failed bool
 	matched := 0
@@ -123,6 +125,11 @@ func compare(w io.Writer, oldF, newF *benchFile, maxRegress, maxAllocRegress flo
 			}
 			fmt.Fprintf(w, "  %-52s %-10s %20s -> %-20s %s\n",
 				name, metric, formatStat(ov), formatStat(nv), delta)
+		}
+	}
+	for _, name := range oldOrder {
+		if _, ok := newBy[name]; !ok {
+			fmt.Fprintf(w, "  %-52s gone: in the old file only\n", name)
 		}
 	}
 	if matched == 0 {

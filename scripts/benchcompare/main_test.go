@@ -147,3 +147,23 @@ func TestCompareNoCommonBenchmarks(t *testing.T) {
 		t.Errorf("report = %q, want no-benchmarks notice", out.String())
 	}
 }
+
+// TestCompareReportsGoneBenchmarks pins the report for a baseline
+// benchmark the new file lacks: one "gone" line, and no gate failure.
+func TestCompareReportsGoneBenchmarks(t *testing.T) {
+	oldF := bf(run("BenchmarkA-1", 100), run("BenchmarkGone-1", 100))
+	newF := bf(run("BenchmarkA-1", 100))
+	var out strings.Builder
+	if failed := compare(&out, oldF, newF, 60, 30); failed {
+		t.Fatalf("a vanished benchmark failed the gate:\n%s", out.String())
+	}
+	var gone []string
+	for _, line := range strings.Split(out.String(), "\n") {
+		if strings.Contains(line, "gone") {
+			gone = append(gone, strings.TrimSpace(line))
+		}
+	}
+	if len(gone) != 1 || !strings.HasPrefix(gone[0], "BenchmarkGone-1 ") {
+		t.Errorf("gone lines = %q, want one for BenchmarkGone-1:\n%s", gone, out.String())
+	}
+}

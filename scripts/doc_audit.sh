@@ -1,8 +1,9 @@
 #!/bin/sh
-# doc-audit (flags + routes + metrics): every auricd command-line flag,
-# HTTP route, and registered auric_* metric must be documented in
-# OPERATIONS.md, and every row of its Flags table must name a registered
-# flag. The flag and route lists are extracted from
+# doc-audit (flags + routes + metrics + baselines): every auricd
+# command-line flag, HTTP route, and registered auric_* metric must be
+# documented in OPERATIONS.md, every row of its Flags table must name a
+# registered flag, and every benchmark a BENCH_*.json baseline names must
+# still exist. The flag and route lists are extracted from
 # cmd/auricd/main.go, the metric list from every non-test Go source in
 # the repo — the registration calls are the single source of truth — so
 # adding a flag, route, or metric without touching the runbook fails
@@ -55,9 +56,27 @@ for m in $metrics; do
         echo "doc-audit: metric $m is not listed in the $ops metrics catalogue"; fail=1; }
 done
 
+# Benchmark baselines: every benchmark a committed BENCH_*.json names must
+# still be declared by some _test.go, so a deleted or renamed benchmark
+# cannot leave rows behind that bench-compare then silently skips.
+benchfuncs=$(grep -rhoE --include='*_test.go' '^func Benchmark[A-Za-z0-9_]*' . \
+    | sed 's/^func //' | sort -u)
+[ -n "$benchfuncs" ] || { echo "doc-audit: extracted no Benchmark functions (extraction broken?)"; exit 1; }
+nbench=0
+for f in BENCH_*.json; do
+    [ -e "$f" ] || continue
+    names=$(sed -n 's/.*"name": *"\(Benchmark[A-Za-z0-9_]*\).*/\1/p' "$f" | sort -u)
+    [ -n "$names" ] || { echo "doc-audit: extracted no benchmark names from $f (extraction broken?)"; exit 1; }
+    for b in $names; do
+        nbench=$((nbench + 1))
+        echo "$benchfuncs" | grep -qxF -- "$b" || {
+            echo "doc-audit: $f has rows for $b, which no _test.go declares"; fail=1; }
+    done
+done
+
 [ "$fail" -eq 0 ] || exit 1
 nflags=$(echo "$flags" | wc -l | tr -d ' ')
 ndocflags=$(echo "$docflags" | wc -l | tr -d ' ')
 nroutes=$(echo "$routes" | wc -l | tr -d ' ')
 nmetrics=$(echo "$metrics" | wc -l | tr -d ' ')
-echo "doc-audit: every auricd flag ($nflags), route ($nroutes), and auric_* metric ($nmetrics) documented in $ops; its $ndocflags flag rows all registered"
+echo "doc-audit: every auricd flag ($nflags), route ($nroutes), and auric_* metric ($nmetrics) documented in $ops; its $ndocflags flag rows all registered; all $nbench baseline benchmarks declared"
