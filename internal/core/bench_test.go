@@ -137,6 +137,50 @@ func BenchmarkIngestUpsertWorld(b *testing.B) {
 	benchIngestUpsert(b, netsim.Generate(netsim.Options{Seed: 1, Markets: 28, ENodeBsPerMarket: 30}))
 }
 
+// BenchmarkIngestUpsertVaried is the ingest benchmark whose deltas shift
+// dependent sets: on the 28 × 30 world, step k clones a donor from market
+// k mod 28 (a different carrier each lap) and tombstones the clone from two
+// steps back, so every apply touches two markets and the counts the
+// chi-square selection reads keep moving. BenchmarkIngestUpsert churns one
+// donor and almost never shifts a set. refit/op is ApplyResult.Refit per
+// apply: the models whose dependent set changed. Skipped under -short.
+func BenchmarkIngestUpsertVaried(b *testing.B) {
+	if testing.Short() {
+		b.Skip("near-paper scale; skipped under -short")
+	}
+	w := netsim.Generate(netsim.Options{Seed: 1, Markets: 28, ENodeBsPerMarket: 30})
+	se := NewSharded(w.Schema, Options{Workers: 1})
+	if _, err := se.Load(w.Net, w.X2, w.Current); err != nil {
+		b.Fatal(err)
+	}
+	byMarket := make([][]lte.CarrierID, len(w.Net.Markets))
+	for _, c := range w.Net.Carriers {
+		byMarket[c.Market] = append(byMarket[c.Market], c.ID)
+	}
+	ups := make([]Upsert, 0, 4*len(byMarket))
+	for k := 0; k < cap(ups); k++ {
+		cs := byMarket[k%len(byMarket)]
+		donor := cs[(k/len(byMarket)*37+5)%len(cs)]
+		ups = append(ups, donorUpsert(w.Schema, w.Net, w.X2, w.Current, donor))
+	}
+	var clones []lte.CarrierID
+	refits := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d := Delta{Upserts: []Upsert{ups[i%len(ups)]}}
+		if n := len(clones); n >= 2 {
+			d.Tombstones = []lte.CarrierID{clones[n-2]}
+		}
+		res, err := se.Apply(d)
+		if err != nil {
+			b.Fatal(err)
+		}
+		clones = append(clones, res.Assigned[0])
+		refits += res.Refit
+	}
+	b.ReportMetric(float64(refits)/float64(b.N), "refit/op")
+}
+
 func benchIngestUpsert(b *testing.B, w *netsim.World) {
 	se := NewSharded(w.Schema, Options{Workers: 1})
 	if _, err := se.Load(w.Net, w.X2, w.Current); err != nil {
