@@ -115,7 +115,7 @@ serve-smoke:
 load-smoke:
 	./scripts/load_smoke.sh
 
-# fuzz-smoke runs four fuzz targets, each over its committed corpus plus a
+# fuzz-smoke runs five fuzz targets, each over its committed corpus plus a
 # short randomized burst — long enough to catch a regression, short enough
 # for every `make check`. FuzzSnapshotRead catches a decoder panic
 # reintroduced on the snapshot Read path; FuzzIngestEquivalence catches a
@@ -123,7 +123,9 @@ load-smoke:
 # a fresh load; FuzzJournalReplay catches a journal file that Open accepts
 # but that one more append leaves unreplayable (or a panic in Open);
 # FuzzRenderJSON catches a recommend response whose bytes differ from
-# encoding/json's.
+# encoding/json's; FuzzUpdateEquivalence catches an upsert/tombstone
+# sequence after which a patched CF model answers differently from a refit
+# over its surviving rows.
 # Longer sessions: go test -fuzz=<target> <package>
 # -fuzzminimizetime=5x keeps input minimization from monopolizing the
 # short budget on single-core machines.
@@ -132,3 +134,4 @@ fuzz-smoke:
 	$(GO) test -run=FuzzIngestEquivalence -fuzz=FuzzIngestEquivalence -fuzztime=10s -fuzzminimizetime=5x ./internal/core/
 	$(GO) test -run=FuzzJournalReplay -fuzz=FuzzJournalReplay -fuzztime=10s -fuzzminimizetime=5x ./internal/journal/
 	$(GO) test -run=FuzzRenderJSON -fuzz=FuzzRenderJSON -fuzztime=10s -fuzzminimizetime=5x ./cmd/auricd/
+	$(GO) test -run=FuzzUpdateEquivalence -fuzz=FuzzUpdateEquivalence -fuzztime=10s -fuzzminimizetime=5x ./internal/learn/cf/

@@ -8,9 +8,9 @@ package core
 // lte.Config Clone, which copies only the carrier rows the delta writes; and
 // the X2 graph recomputes only the touched markets' neighbor lists. Only the
 // affected markets' parameter models are touched — each one patched in
-// place through cf.Model.Update (or refit for that single parameter when its
-// dependency structure shifts). Untouched markets carry their fitted models
-// into the new generation by reference.
+// place through cf.Model.Update, which absorbs a shift of the chi-square
+// dependent set like any other change. Untouched markets carry their fitted
+// models into the new generation by reference.
 // The generation swap and drain reuse Load's machinery, so readers of the
 // retiring generation finish undisturbed and Apply is atomic: on any error
 // the serving state is exactly what it was.
@@ -27,15 +27,16 @@ import (
 	"auric/internal/paramspec"
 )
 
-// Ingest metrics: apply cadence and the patch-vs-refit split, the operator's
-// view of how much retraining live ingest is avoiding (OPERATIONS.md).
+// Ingest metrics: apply cadence and how many patched models saw their
+// dependent set change, which re-keys their exact-match index
+// (OPERATIONS.md).
 var (
 	ingestApplySeconds = obs.Default().Histogram("auric_ingest_apply_seconds",
 		"Wall-clock seconds per ShardedEngine.Apply call (delta validated, models patched, generation swapped).", obs.DefBuckets)
 	ingestModelsPatched = obs.Default().Counter("auric_ingest_models_patched_total",
-		"Parameter models patched in place by live ingest (no refit).")
+		"Parameter models patched by live ingest with their chi-square dependent set unchanged.")
 	ingestModelsRefit = obs.Default().Counter("auric_ingest_models_refit_total",
-		"Parameter models refit during live ingest because their chi-square dependency structure shifted.")
+		"Parameter models patched by live ingest whose chi-square dependent set changed, which rebuilds their exact-match index.")
 
 	// ApplyStageSeconds splits one apply into its stages. Apply observes
 	// validate, inventory, config, x2, patch and swap; auricd observes
@@ -103,8 +104,12 @@ type ApplyResult struct {
 	// Assigned lists the carrier id of each upsert, parallel to
 	// Delta.Upserts (newly created carriers get fresh ids).
 	Assigned []lte.CarrierID
-	// Patched and Refit count the parameter models updated in place versus
-	// refit because their dependency structure shifted.
+	// Patched and Refit split the parameter models the delta updated:
+	// Patched kept their chi-square dependent set, Refit saw it change.
+	// Both are patched in place; a Refit model's exact-match index is
+	// rebuilt over its live rows and its entering columns get posting
+	// lists. (A new order of the same set counts as Patched: it changes no
+	// match structure.)
 	Patched, Refit int
 }
 
@@ -592,12 +597,12 @@ func (e *Engine) patched(net *lte.Network, x2 *geo.Graph, cfg *lte.Config, keep 
 				}
 				t2.AppendSample(ext.FirstRow()+int32(k), spec.Format(v), v, site)
 			}
-			nm, ok, err := m.Update(t2, b.rm)
+			nm, sameSet, err := m.Update(t2, b.rm)
 			if err != nil {
 				return nil, 0, 0, fmt.Errorf("core: patching %s: %w", spec.Name, err)
 			}
 			models[pi] = nm
-			if ok {
+			if sameSet {
 				patched++
 			} else {
 				refit++

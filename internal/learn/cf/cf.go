@@ -38,9 +38,10 @@
 // previous generation are undisturbed). Because Update re-derives the
 // dependency set and relaxation ordering from the same counts with the same
 // float operations as Fit, a patched model's predictions are byte-identical
-// to a from-scratch refit over the surviving rows; when the dependency set
-// itself shifts, Update falls back to refitting this one parameter, still
-// far cheaper than retraining the world.
+// to a from-scratch refit over the surviving rows. A shift of the
+// dependency set is one more patch: the exact index is keyed in column
+// order, so a reordered set re-keys nothing, and a changed set builds only
+// the posting lists of the columns that enter it and a new exact index.
 //
 // The paper leaves two situations unspecified, which this implementation
 // resolves as follows (every choice is visible in the prediction's
@@ -165,11 +166,22 @@ type fitScratch struct {
 	cnt      []int32 // per-code counters, then write cursors
 	off      []int32 // per-code offsets into the posting arena
 	keys     []byte  // row-major exact-match key arena
-	rowGroup []int32 // exact-index group id per row
+	rows     []int32 // live row ids, ascending
+	rowGroup []int32 // exact-index group id per live row
 	groupN   []int32 // rows per exact-index group, then write cursors
 }
 
 var fitScratchPool = sync.Pool{New: func() any { return new(fitScratch) }}
+
+// getFitScratch draws pooled fit scratch with a gather buffer for n rows;
+// the caller returns it to fitScratchPool.
+func getFitScratch(n int) *fitScratch {
+	sc := fitScratchPool.Get().(*fitScratch)
+	if cap(sc.colBuf) < n {
+		sc.colBuf = make([]int32, 0, n)
+	}
+	return sc
+}
 
 // Fit implements learn.Learner through the package-level Fit. A failed fit
 // returns a nil interface, not one wrapping a nil *Model.
@@ -195,11 +207,8 @@ func Fit(t *dataset.Table, opts Options) (*Model, error) {
 	opts = opts.withDefaults()
 	n := t.Len()
 	ncols := t.NumCols()
-	sc := fitScratchPool.Get().(*fitScratch)
+	sc := getFitScratch(n)
 	defer fitScratchPool.Put(sc)
-	if cap(sc.colBuf) < n {
-		sc.colBuf = make([]int32, 0, n)
-	}
 
 	// Intern the label column of this table view; votes tally into dense
 	// arrays indexed by these codes.
@@ -241,21 +250,44 @@ func Fit(t *dataset.Table, opts Options) (*Model, error) {
 	}
 	m.computeDeps()
 
-	m.buildPostings(sc, n)
-	m.all = make([]int32, n)
-	for i := range m.all {
-		m.all[i] = int32(i)
+	m.post = make([][][]int32, ncols)
+	for _, d := range m.deps {
+		m.post[d] = m.buildPosting(sc, d)
 	}
-	m.buildIndex(sc, n)
-	m.globalLabel, m.globalShare = learn.MajorityLabel(t.Labels)
+	m.buildIndex(sc)
+	m.setGlobal()
 	return m, nil
 }
 
-// computeDeps derives the dependent-column set, its ladder ordering and the
-// per-value share tables from the model's persistent count tables and live
-// row count. Fit and Update share this code path, which is what makes an
-// incrementally patched model bit-identical to a refit: both run the same
-// float operations over the same counts.
+// setGlobal records the live-row majority label and its share: the vote of
+// the unscoped empty dependent set and the last-resort fallback.
+func (m *Model) setGlobal() {
+	best, n := topLabel(m.labelCounts, m.labels)
+	m.globalLabel, m.globalShare = m.labels[best], float64(n)/float64(m.live)
+}
+
+// topLabel returns the code of the most frequent label in counts and its
+// count. Ties break to the lexicographically smallest label, matching
+// learn.MajorityLabel. At least one count must be positive.
+func topLabel(counts []int32, labels []string) (int, int32) {
+	best, bestN := -1, int32(0)
+	for l, n := range counts {
+		if n == 0 {
+			continue
+		}
+		if n > bestN || (n == bestN && labels[l] < labels[best]) {
+			best, bestN = l, n
+		}
+	}
+	return best, bestN
+}
+
+// computeDeps derives the dependent-column set, its ladder ordering, the
+// exact-index key columns and the per-value share tables from the model's
+// persistent count tables and live row count. Fit and Update share this
+// code path, which is what makes an incrementally patched model
+// bit-identical to a refit: both run the same float operations over the
+// same counts.
 //
 // Strongest association first; relaxation drops from the tail. The
 // significance test follows the paper's raw chi-square criterion; the
@@ -297,6 +329,8 @@ func (m *Model) computeDeps() {
 		m.deps = append(m.deps, d.col)
 		m.depStats = append(m.depStats, d.stat)
 	}
+	m.keyCols = slices.Clone(m.deps)
+	slices.Sort(m.keyCols)
 }
 
 // fitValueShares records, for one dependent column, the population share
@@ -331,85 +365,97 @@ func (m *Model) fitValueShares(d int, ct *stats.CountTable, n, numLabels int) {
 	m.valuePin[d] = pins
 }
 
-// buildPostings assembles the inverted index — per dependent column, one
-// ascending row list per code — by counting sort into a single per-column
-// arena: two passes per column (count, fill) and exactly two allocations
+// buildPosting assembles the inverted index of column d — one ascending
+// list of live rows per code — by counting sort into a single arena sized
+// by the live count: two passes (count, fill) and exactly two allocations
 // of fitted state, instead of growing card-many lists by append.
-func (m *Model) buildPostings(sc *fitScratch, n int) {
-	t := m.t
-	m.post = make([][][]int32, t.NumCols())
-	for _, d := range m.deps {
-		codes := t.ColumnCodesScratch(sc.colBuf, d)
-		card := t.Dict(d).Len()
-		if cap(sc.cnt) < card {
-			sc.cnt = make([]int32, card)
-		}
-		if cap(sc.off) < card+1 {
-			sc.off = make([]int32, card+1)
-		}
-		cnt := sc.cnt[:card]
-		clear(cnt)
-		for _, code := range codes {
+func (m *Model) buildPosting(sc *fitScratch, d int) [][]int32 {
+	codes := m.t.ColumnCodesScratch(sc.colBuf, d)
+	card := m.t.Dict(d).Len()
+	if cap(sc.cnt) < card {
+		sc.cnt = make([]int32, card)
+	}
+	if cap(sc.off) < card+1 {
+		sc.off = make([]int32, card+1)
+	}
+	cnt := sc.cnt[:card]
+	clear(cnt)
+	for i, code := range codes {
+		if m.isLive(i) {
 			cnt[code]++
 		}
-		off := sc.off[:card+1]
-		off[0] = 0
-		for v := 0; v < card; v++ {
-			off[v+1] = off[v] + cnt[v]
-		}
-		arena := make([]int32, n)
-		copy(cnt, off[:card]) // cnt becomes the per-code write cursor
-		for i, code := range codes {
+	}
+	off := sc.off[:card+1]
+	off[0] = 0
+	for v := 0; v < card; v++ {
+		off[v+1] = off[v] + cnt[v]
+	}
+	arena := make([]int32, m.live)
+	copy(cnt, off[:card]) // cnt becomes the per-code write cursor
+	for i, code := range codes {
+		if m.isLive(i) {
 			arena[cnt[code]] = int32(i)
 			cnt[code]++
 		}
-		p := make([][]int32, card)
-		for v := 0; v < card; v++ {
-			if off[v] == off[v+1] {
-				continue // code absent from this view: nil list
-			}
-			p[v] = arena[off[v]:off[v+1]:off[v+1]]
-		}
-		m.post[d] = p
 	}
+	p := make([][]int32, card)
+	for v := 0; v < card; v++ {
+		if off[v] == off[v+1] {
+			continue // code absent from the live rows: nil list
+		}
+		p[v] = arena[off[v]:off[v+1]:off[v+1]]
+	}
+	return p
 }
 
-// buildIndex assembles the exact-match index over the canonical full
-// dependent-set code key. Every row's fixed-width key is laid out in one
-// arena and converted to a single durable string; the dedup map keys are
-// substrings of it, so the whole index costs one string allocation plus
-// the map — not one key string per row.
-func (m *Model) buildIndex(sc *fitScratch, n int) {
+// buildIndex assembles the exact-match index over the live rows, keyed by
+// their codes on keyCols (the dependent columns in column order, so the
+// key does not depend on the ladder's association order). Every live
+// row's fixed-width key is laid out in one arena and converted to a single
+// durable string; the dedup map keys are substrings of it, so the whole
+// index costs one string allocation plus the map — not one key string per
+// row.
+func (m *Model) buildIndex(sc *fitScratch) {
 	t := m.t
-	stride := 4 * len(m.deps)
+	rows := sc.rows[:0]
+	for i := 0; i < t.Len(); i++ {
+		if m.isLive(i) {
+			rows = append(rows, int32(i))
+		}
+	}
+	sc.rows = rows
+	n := len(rows)
+	stride := 4 * len(m.keyCols)
 	if cap(sc.keys) < n*stride {
 		sc.keys = make([]byte, n*stride)
 	}
 	keys := sc.keys[:n*stride]
-	for j, d := range m.deps {
+	for j, d := range m.keyCols {
 		codes := t.ColumnCodesScratch(sc.colBuf, d)
 		o := 4 * j
-		for i, c := range codes {
-			b := keys[i*stride+o : i*stride+o+4]
+		for k, i := range rows {
+			c := codes[i]
+			b := keys[k*stride+o : k*stride+o+4]
 			b[0], b[1], b[2], b[3] = byte(c), byte(c>>8), byte(c>>16), byte(c>>24)
 		}
 	}
 	s := string(keys)
 	m.index = make(map[string]int32, n)
+	m.indexAdd = nil
 	if cap(sc.rowGroup) < n {
 		sc.rowGroup = make([]int32, n)
 	}
-	rowGroup := sc.rowGroup[:n]
+	rowGroup := sc.rowGroup[:n] // exact-index group per entry of rows
 	groupN := sc.groupN[:0]
-	for i := 0; i < n; i++ {
-		k := s[i*stride : (i+1)*stride]
-		g, ok := m.index[k]
+	for k := 0; k < n; k++ {
+		key := s[k*stride : (k+1)*stride]
+		g, ok := m.index[key]
 		if !ok {
 			g = int32(len(groupN))
-			m.index[k] = g
+			m.index[key] = g
 			groupN = append(groupN, 0)
 		}
-		rowGroup[i] = g
+		rowGroup[k] = g
 		groupN[g]++
 	}
 	groups := len(groupN)
@@ -419,9 +465,9 @@ func (m *Model) buildIndex(sc *fitScratch, n int) {
 	}
 	idxRows := make([]int32, n)
 	copy(groupN, idxOff[:groups]) // groupN becomes the write cursor
-	for i := 0; i < n; i++ {
-		g := rowGroup[i]
-		idxRows[groupN[g]] = int32(i)
+	for k, i := range rows {
+		g := rowGroup[k]
+		idxRows[groupN[g]] = i
 		groupN[g]++
 	}
 	sc.groupN = groupN[:0]
@@ -520,6 +566,7 @@ type Model struct {
 	opts     Options
 	deps     []int     // dependent columns, strongest first
 	depStats []float64 // matching Cramér's V per dependent column
+	keyCols  []int     // dependent columns ascending: the exact-index key
 
 	labels      []string      // label string per label code, first-seen order
 	labelCodes  []int32       // label code per training row (incl. dead rows)
@@ -531,7 +578,7 @@ type Model struct {
 	// ran on, retained so Update can patch counts instead of recounting.
 	colCounts []*stats.CountTable
 
-	// index maps the canonical full dependent-set code key to a group id;
+	// index maps a row's codes on keyCols to a group id;
 	// idxLists[g] lists group g's live rows ascending — the drop-0 fast
 	// path. Keys are substrings of one shared string; indexAdd overlays
 	// keys first seen by Update (checked only when non-nil, so the fit-only
@@ -544,9 +591,6 @@ type Model struct {
 	// arena per column at fit and patched per-list by Update. Relaxed
 	// ladder levels intersect these lists smallest-first.
 	post [][][]int32
-	// all is the ascending list of every live row: the posting list of the
-	// empty dependent set.
-	all []int32
 
 	// valueShare[col][code] is the code's population share;
 	// valuePin[col][code] the top-label share among rows holding it
@@ -575,6 +619,8 @@ type Model struct {
 	depValsOnce sync.Once
 	depVals     [][]string
 
+	// globalLabel is the live rows' majority label and globalShare its
+	// share: the vote of the unscoped empty dependent set.
 	globalLabel string
 	globalShare float64
 }
@@ -593,7 +639,7 @@ type predictScratch struct {
 	kb     []byte
 	inter  []int32
 	lists  [][]int32
-	counts []int
+	counts []int32
 }
 
 var predictScratchPool = sync.Pool{New: func() any { return new(predictScratch) }}
@@ -871,15 +917,21 @@ func (m *Model) ladder(ps *predictScratch, codes []int32, qdeps []int, scopeRows
 // agreeing at the support threshold with at least two carriers — the
 // rare-combination case of Sec 3.2 (few carriers, one distinctive value).
 func (m *Model) vote(ps *predictScratch, codes []int32, deps []int, full bool, scopeRows []int32, scoped bool, drop int) (learn.Prediction, bool) {
-	matches := m.matches(ps, codes, deps, full, scopeRows, scoped)
-	if len(matches) == 0 {
-		return learn.Prediction{}, false
+	// Every live row matches the empty set network-wide: that vote is the
+	// global majority, tallied once per model.
+	label, share, n := m.globalLabel, m.globalShare, m.live
+	if len(deps) > 0 || scoped {
+		matches := m.matches(ps, codes, deps, full, scopeRows, scoped)
+		if len(matches) == 0 {
+			return learn.Prediction{}, false
+		}
+		label, share = m.majorityOf(ps, matches)
+		n = len(matches)
 	}
-	label, share := m.majorityOf(ps, matches)
 	// Confidence is the voting support (the paper's 75% rule applies to
 	// it); a single witness is discounted since there is no vote at all.
 	conf := share
-	if len(matches) == 1 {
+	if n == 1 {
 		conf *= 0.5
 	}
 	// The explanation is NOT rendered here: most votes are discarded by
@@ -890,7 +942,7 @@ func (m *Model) vote(ps *predictScratch, codes []int32, deps []int, full bool, s
 		Confidence: conf,
 		Diag: learn.Diag{
 			Level:      drop,
-			Candidates: len(matches),
+			Candidates: n,
 			VoteShare:  share,
 			ExactIndex: full,
 			Scoped:     scoped,
@@ -899,8 +951,8 @@ func (m *Model) vote(ps *predictScratch, codes []int32, deps []int, full bool, s
 	if !full && len(deps) > 0 {
 		p.Diag.PostingLists = len(deps)
 	}
-	decisive := len(matches) >= m.opts.MinMatches ||
-		(len(matches) >= 2 && share >= m.opts.Support) ||
+	decisive := n >= m.opts.MinMatches ||
+		(n >= 2 && share >= m.opts.Support) ||
 		// A unanimous pool on the full dependent set is the most similar
 		// evidence that exists — even a single matching carrier beats a
 		// bigger pool of less similar ones (the copy/paste intuition of
@@ -910,43 +962,36 @@ func (m *Model) vote(ps *predictScratch, codes []int32, deps []int, full bool, s
 }
 
 // majorityOf tallies match labels into a dense per-code count array and
-// returns the most frequent label and its share. Ties break to the
-// lexicographically smallest label, matching learn.MajorityLabel.
+// returns the most frequent label (topLabel's tie-break) and its share.
 func (m *Model) majorityOf(ps *predictScratch, matches []int32) (string, float64) {
 	if cap(ps.counts) < len(m.labels) {
-		ps.counts = make([]int, len(m.labels))
+		ps.counts = make([]int32, len(m.labels))
 	}
 	counts := ps.counts[:len(m.labels)]
 	clear(counts)
 	for _, idx := range matches {
 		counts[m.labelCodes[idx]]++
 	}
-	best, bestN := -1, 0
-	for l, n := range counts {
-		if n == 0 {
-			continue
-		}
-		if n > bestN || (n == bestN && m.labels[l] < m.labels[best]) {
-			best, bestN = l, n
-		}
-	}
+	best, bestN := topLabel(counts, m.labels)
 	return m.labels[best], float64(bestN) / float64(len(matches))
 }
 
-// matches returns the training rows matching the query codes on deps, in
-// ascending row order. The full dependent set resolves through the exact
-// code-key index; relaxed sets intersect the per-column posting lists
-// smallest-first; the empty set is every row. A scope, when present, is
-// one more sorted list in the intersection — never a per-row callback.
+// matches returns the live training rows matching the query codes on deps,
+// in ascending row order. The full dependent set resolves through the
+// exact code-key index; relaxed sets intersect the per-column posting
+// lists smallest-first. A scope, when present, is one more sorted list in
+// the intersection — never a per-row callback — and is the whole answer
+// for the empty set. The unscoped empty set is every live row, which vote
+// reads off the global tally instead of asking here.
 func (m *Model) matches(ps *predictScratch, codes []int32, deps []int, full bool, scopeRows []int32, scoped bool) []int32 {
 	switch {
 	case full:
 		// The full dependent set is order-insensitive; the index is keyed
-		// on the canonical m.deps order. Unseen codes (-1) serialize to a
-		// key no training row produced, so they miss — exactly like a
-		// failed string comparison on every row.
+		// in column order (keyCols). Unseen codes (-1) serialize to a key
+		// no training row produced, so they miss — exactly like a failed
+		// string comparison on every row.
 		kb := ps.kb[:0]
-		for _, d := range m.deps {
+		for _, d := range m.keyCols {
 			kb = appendCode(kb, codes[d])
 		}
 		ps.kb = kb
@@ -968,11 +1013,6 @@ func (m *Model) matches(ps *predictScratch, codes []int32, deps []int, full bool
 		out := intersectSorted(ps.inter[:0], a, b)
 		ps.inter = out[:0]
 		return out
-	case len(deps) == 0:
-		if scoped {
-			return scopeRows
-		}
-		return m.all
 	default:
 		return m.intersect(ps, codes, deps, scopeRows, scoped)
 	}

@@ -17,17 +17,19 @@ import (
 // rows are to be tombstoned (sites matching no live row are ignored, which
 // is how pair-wise models skip relations they never saw configured).
 //
-// When the chi-square dependency set and its relaxation ordering are
-// unchanged by the new counts, Update patches the match structures in
-// place of a refit: posting lists and exact-index groups are rewritten
-// only for the codes the changed rows touch, tombstoned rows keep their
-// row ids (excluded from every structure via the dead mask), and appended
-// rows take the next ids, so the patch cost scales with the change, not
-// the table. When the dependency set shifts — a structural change — Update
-// falls back to refitting this one parameter over the surviving rows and
-// reports patched=false. Either way the returned model's predictions are
-// byte-identical to a from-scratch refit over the same live samples; the
-// equivalence tests in this package pin that down.
+// Update patches the match structures in place of a refit: posting lists
+// and exact-index groups are rewritten only for the codes the changed rows
+// touch, tombstoned rows keep their row ids (excluded from every structure
+// via the dead mask), and appended rows take the next ids, so the patch
+// cost scales with the change, not the table. The chi-square dependency
+// set is re-derived from the patched counts. A new relaxation order alone
+// changes no match structure, since the exact index is keyed in column
+// order. When the set itself shifts, columns entering it get posting lists
+// over the live rows, columns leaving it drop theirs, and the exact index
+// is rebuilt over the live rows. The returned bool reports whether the
+// dependent set stayed the same. The returned model's table is t, and its
+// predictions are byte-identical to a from-scratch refit over the same
+// live samples; the equivalence tests in this package pin that down.
 //
 // Update is a single-writer operation: updates must be applied to the
 // latest generation only (the core engine serializes ingest under its load
@@ -129,36 +131,22 @@ func (m *Model) Update(t *dataset.Table, removed []dataset.Site) (*Model, bool, 
 	nm.colCounts = cc
 
 	// Re-derive the dependency set from the patched counts through the
-	// exact code path Fit uses. If selection or ordering shifted, the match
-	// structures cannot be patched — refit this one parameter.
+	// exact code path Fit uses, then patch the match structures
+	// copy-on-write. Appended row ids exceed every existing id (rows are
+	// only ever appended; dead rows keep their ids), so additions go at
+	// list tails and stay sorted.
 	nm.computeDeps()
-	if !slices.Equal(nm.deps, m.deps) {
-		return m.refitLive(t, dead, live)
+	sameSet := slices.Equal(nm.keyCols, m.keyCols)
+	sc := getFitScratch(newN)
+	defer fitScratchPool.Put(sc)
+	nm.post = m.patchPostings(nm, sc, rm, oldN)
+	if sameSet {
+		nm.index, nm.indexAdd, nm.idxLists = m.patchIndex(t, rm, oldN, newN)
+	} else {
+		nm.buildIndex(sc)
 	}
-
-	// Dependencies held: patch the match structures copy-on-write. Appended
-	// row ids exceed every existing id (rows are only ever appended; dead
-	// rows keep their ids), so additions go at list tails and stay sorted.
-	nm.post = m.patchPostings(t, rm, oldN, newN)
-	nm.index, nm.indexAdd, nm.idxLists = m.patchIndex(t, rm, oldN, newN)
-	nm.all = patchRows(m.all, rm, oldN, newN, live)
-
-	// Global fallback from the dense label tallies; identical tie-breaking
-	// (lexicographically smallest label) and share arithmetic to
-	// learn.MajorityLabel over the live labels.
-	best := -1
-	for c := range counts {
-		if counts[c] == 0 {
-			continue
-		}
-		if best < 0 || counts[c] > counts[best] ||
-			(counts[c] == counts[best] && labels[c] < labels[best]) {
-			best = c
-		}
-	}
-	nm.globalLabel = labels[best]
-	nm.globalShare = float64(counts[best]) / float64(live)
-	return nm, true, nil
+	nm.setGlobal()
+	return nm, sameSet, nil
 }
 
 // cloneFor returns a Model carrying all of m's fitted state over table t.
@@ -171,6 +159,7 @@ func (m *Model) cloneFor(t *dataset.Table) *Model {
 
 		deps:     m.deps,
 		depStats: m.depStats,
+		keyCols:  m.keyCols,
 
 		labels:      m.labels,
 		labelCodes:  m.labelCodes,
@@ -182,7 +171,6 @@ func (m *Model) cloneFor(t *dataset.Table) *Model {
 		indexAdd: m.indexAdd,
 		idxLists: m.idxLists,
 		post:     m.post,
-		all:      m.all,
 
 		valueShare: m.valueShare,
 		valuePin:   m.valuePin,
@@ -195,32 +183,25 @@ func (m *Model) cloneFor(t *dataset.Table) *Model {
 	}
 }
 
-// refitLive refits the parameter from scratch over the surviving rows — a
-// structural change (the dependency set or its ordering shifted) makes
-// patching unsound. Still orders of magnitude cheaper than retraining the
-// whole engine: one parameter, one pass.
-func (m *Model) refitLive(t *dataset.Table, dead []bool, live int) (*Model, bool, error) {
-	idx := make([]int, 0, live)
-	for i := 0; i < t.Len(); i++ {
-		if !dead[i] {
-			idx = append(idx, i)
-		}
-	}
-	nm, err := Fit(t.Subset(idx), m.opts)
-	return nm, false, err
-}
-
-// patchPostings rewrites, for each dependent column, only the per-code
-// lists the changed rows touch; every untouched list is shared with the
-// previous generation. Edits are grouped by code so each touched list is
-// rebuilt once with a single allocation, not re-cloned per changed row —
-// the difference between O(edits) and O(touched lists) full-list copies,
-// which dominates Update when a delta carries many pair rows.
-func (m *Model) patchPostings(t *dataset.Table, rm []int32, oldN, newN int) [][][]int32 {
+// patchPostings returns nm's posting lists, carried over from m. For each
+// column that stays dependent it rewrites only the per-code lists the
+// changed rows touch; every untouched list is shared with the previous
+// generation. Edits are grouped by code so each touched list is rebuilt
+// once with a single allocation, not re-cloned per changed row — the
+// difference between O(edits) and O(touched lists) full-list copies, which
+// dominates Update when a delta carries many pair rows. A column entering
+// the dependent set gets fresh lists over nm's live rows, built with sc;
+// the lists of a column leaving it are dropped.
+func (m *Model) patchPostings(nm *Model, sc *fitScratch, rm []int32, oldN int) [][][]int32 {
+	t := nm.t
+	newN := t.Len()
 	post := make([][][]int32, t.NumCols())
-	copy(post, m.post)
 	var codes []int32
-	for _, d := range m.deps {
+	for _, d := range nm.deps {
+		if _, kept := slices.BinarySearch(m.keyCols, d); !kept {
+			post[d] = nm.buildPosting(sc, d)
+			continue
+		}
 		card := t.Dict(d).Len()
 		p := make([][]int32, card)
 		copy(p, m.post[d]) // old cardinality may be smaller; the tail stays nil
@@ -295,10 +276,10 @@ func (m *Model) patchIndex(t *dataset.Table, rm []int32, oldN, newN int) (map[st
 		}
 		return 0, false
 	}
-	kb := make([]byte, 0, 4*len(m.deps))
+	kb := make([]byte, 0, 4*len(m.keyCols))
 	rowKey := func(i int) []byte {
 		kb = kb[:0]
-		for _, d := range m.deps {
+		for _, d := range m.keyCols {
 			kb = appendCode(kb, t.Code(i, d))
 		}
 		return kb
@@ -322,24 +303,6 @@ func (m *Model) patchIndex(t *dataset.Table, rm []int32, oldN, newN int) (map[st
 		idxLists[g] = appendSortedRow(idxLists[g], int32(i))
 	}
 	return m.index, indexAdd, idxLists
-}
-
-// patchRows rebuilds one ascending row list under the change set: the
-// tombstoned ids (ascending) drop out, the appended range goes on the end.
-func patchRows(rows, rm []int32, oldN, newN, live int) []int32 {
-	out := make([]int32, 0, live)
-	ri := 0
-	for _, r := range rows {
-		if ri < len(rm) && rm[ri] == r {
-			ri++
-			continue
-		}
-		out = append(out, r)
-	}
-	for i := oldN; i < newN; i++ {
-		out = append(out, int32(i))
-	}
-	return out
 }
 
 // removeSortedRow returns l without x, copy-on-write. A list emptied by

@@ -10,6 +10,7 @@ package cf
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -85,14 +86,65 @@ func liveIDs(m *Model) []lte.CarrierID {
 	return ids
 }
 
+// choices supplies the random choices of an update sequence: an *rng.RNG
+// in the tests, the fuzz input in FuzzUpdateEquivalence.
+type choices interface {
+	Intn(n int) int
+	Bool(p float64) bool
+}
+
+// randomStep draws one delta against m — 0-3 upserts of fresh carriers
+// (ids from *nextID on) and, once more than 10 carriers are live, 0-2
+// tombstones — and applies it through Update, returning the new model and
+// Update's report.
+func randomStep(t *testing.T, r choices, m *Model, nextID *int) (*Model, bool) {
+	t.Helper()
+	var rows [][]string
+	var labels []string
+	var sites []dataset.Site
+	for k := r.Intn(4); k > 0; k-- {
+		row := make([]string, len(m.t.ColNames))
+		for c := range row {
+			row[c] = fmt.Sprintf("v%d", r.Intn(7))
+		}
+		label := "L" + row[0] + row[1]
+		if r.Bool(0.15) {
+			label = fmt.Sprintf("N%d", r.Intn(5))
+		}
+		rows = append(rows, row)
+		labels = append(labels, label)
+		sites = append(sites, dataset.Site{From: lte.CarrierID(*nextID), To: -1})
+		*nextID++
+	}
+	var removed []dataset.Site
+	if ids := liveIDs(m); len(ids) > 10 {
+		for k := r.Intn(3); k > 0; k-- {
+			removed = append(removed, dataset.Site{From: ids[r.Intn(len(ids))], To: -1})
+		}
+	}
+	t2 := m.t
+	if len(rows) > 0 {
+		t2 = extendTable(m, rows, labels, sites)
+	}
+	m2, sameSet, err := m.Update(t2, removed)
+	if err != nil {
+		t.Fatalf("Update: %v", err)
+	}
+	if m2.Table() != t2 {
+		t.Fatal("Update returned a model over a table other than the one it was given")
+	}
+	return m2, sameSet
+}
+
 // TestUpdateEquivalence applies randomized upsert/tombstone sequences and,
 // after every step, pins the patched model's predictions byte-identical to
 // a from-scratch refit over the surviving rows — while the retiring
 // generation serves concurrent predictions (race coverage for the
-// copy-on-write discipline). Both Update outcomes (in-place patch and
-// structural-change refit) must occur across the sequences.
+// copy-on-write discipline). Both kinds of dependency shift must occur
+// across the sequences: a changed dependent set, and the same set in a new
+// Cramér's V order.
 func TestUpdateEquivalence(t *testing.T) {
-	patchedTotal, refitTotal := 0, 0
+	steps, setShifts, orderShifts := 0, 0, 0
 	for seed := uint64(0); seed < 4; seed++ {
 		r := rng.New(9000 + seed)
 		tb := randomTable(r, 80+r.Intn(120))
@@ -104,35 +156,6 @@ func TestUpdateEquivalence(t *testing.T) {
 		nextID := tb.Len()
 
 		for step := 0; step < 12; step++ {
-			// Assemble a random delta: 0-3 upserts, 0-2 tombstones.
-			var rows [][]string
-			var labels []string
-			var sites []dataset.Site
-			for k := r.Intn(4); k > 0; k-- {
-				row := make([]string, len(tb.ColNames))
-				for c := range row {
-					row[c] = fmt.Sprintf("v%d", r.Intn(7))
-				}
-				label := "L" + row[0] + row[1]
-				if r.Bool(0.15) {
-					label = fmt.Sprintf("N%d", r.Intn(5))
-				}
-				rows = append(rows, row)
-				labels = append(labels, label)
-				sites = append(sites, dataset.Site{From: lte.CarrierID(nextID), To: -1})
-				nextID++
-			}
-			var removed []dataset.Site
-			if ids := liveIDs(m); len(ids) > 10 {
-				for k := r.Intn(3); k > 0; k-- {
-					removed = append(removed, dataset.Site{From: ids[r.Intn(len(ids))], To: -1})
-				}
-			}
-			t2 := m.t
-			if len(rows) > 0 {
-				t2 = extendTable(m, rows, labels, sites)
-			}
-
 			// Hammer the generation being retired while the writer patches.
 			prev := m
 			queries := make([][]string, 6)
@@ -150,15 +173,14 @@ func TestUpdateEquivalence(t *testing.T) {
 					}
 				}
 			}()
-			m2, patched, err := m.Update(t2, removed)
+			m2, sameSet := randomStep(t, r, m, &nextID)
 			wg.Wait()
-			if err != nil {
-				t.Fatalf("seed %d step %d: Update: %v", seed, step, err)
-			}
-			if patched {
-				patchedTotal++
-			} else {
-				refitTotal++
+			steps++
+			switch {
+			case !sameSet:
+				setShifts++
+			case !slices.Equal(m2.deps, prev.deps):
+				orderShifts++
 			}
 			m = m2
 
@@ -171,13 +193,13 @@ func TestUpdateEquivalence(t *testing.T) {
 			assertPredictionEquivalence(t, m, ref, stepQueries, ids)
 		}
 	}
-	if patchedTotal == 0 {
-		t.Fatal("no update took the in-place patch path; sequences too volatile")
+	if setShifts == 0 {
+		t.Fatal("no update changed a dependent set; sequences too tame")
 	}
-	if refitTotal == 0 {
-		t.Fatal("no update took the structural-refit path; sequences too tame")
+	if orderShifts == 0 {
+		t.Fatal("no update reordered an unchanged dependent set; sequences too tame")
 	}
-	t.Logf("updates: %d patched in place, %d structural refits", patchedTotal, refitTotal)
+	t.Logf("updates: %d, of which %d changed the dependent set and %d only its order", steps, setShifts, orderShifts)
 }
 
 // TestUpdateTombstoneOnly removes rows without adding any and checks the
@@ -307,4 +329,184 @@ func TestUpdateEmptiesTable(t *testing.T) {
 	if _, _, err := m.Update(m.t, removed); err != learn.ErrEmptyTable {
 		t.Fatalf("err = %v, want learn.ErrEmptyTable", err)
 	}
+}
+
+// pattern is n copies of one labeled row.
+type pattern struct {
+	row   []string
+	label string
+	n     int
+}
+
+// expand lays patterns out as rows with one fresh From carrier each,
+// numbered from firstID.
+func expand(pats []pattern, firstID int) (rows [][]string, labels []string, sites []dataset.Site) {
+	for _, p := range pats {
+		for k := 0; k < p.n; k++ {
+			rows = append(rows, p.row)
+			labels = append(labels, p.label)
+			sites = append(sites, dataset.Site{From: lte.CarrierID(firstID + len(sites)), To: -1})
+		}
+	}
+	return rows, labels, sites
+}
+
+// fitPatterns fits a model over a hand-assembled table of patterns.
+func fitPatterns(t *testing.T, cols []string, pats []pattern) *Model {
+	t.Helper()
+	tb := &dataset.Table{ColNames: cols}
+	rows, labels, sites := expand(pats, 0)
+	for i, row := range rows {
+		tb.AppendRow(row)
+		tb.Labels = append(tb.Labels, labels[i])
+		tb.Values = append(tb.Values, 0)
+		tb.Sites = append(tb.Sites, sites[i])
+	}
+	m, err := Fit(tb, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// binaryQueries lists every combination of the values "0" and "1" over
+// ncols columns, plus a row of values never seen.
+func binaryQueries(ncols int) [][]string {
+	var out [][]string
+	for bits := 0; bits < 1<<ncols; bits++ {
+		row := make([]string, ncols)
+		for c := range row {
+			row[c] = fmt.Sprint(bits >> c & 1)
+		}
+		out = append(out, row)
+	}
+	unseen := make([]string, ncols)
+	for c := range unseen {
+		unseen[c] = "unseen"
+	}
+	return append(out, unseen)
+}
+
+// TestUpdateOrderOnlyShift appends rows that make column b a better
+// predictor than column a while both stay dependent: the dependent set
+// keeps its members and only its Cramér's V order flips. Update reports the
+// set unchanged, keeps the table it was given, and answers like a refit.
+func TestUpdateOrderOnlyShift(t *testing.T) {
+	m := fitPatterns(t, []string{"a", "b"}, []pattern{
+		{[]string{"0", "0"}, "X", 8},
+		{[]string{"1", "1"}, "Y", 8},
+		{[]string{"0", "1"}, "X", 2},
+		{[]string{"1", "0"}, "Y", 2},
+	})
+	if !slices.Equal(m.deps, []int{0, 1}) {
+		t.Fatalf("fitted deps = %v, want [0 1]", m.deps)
+	}
+	rows, labels, sites := expand([]pattern{
+		{[]string{"1", "0"}, "X", 3},
+		{[]string{"0", "1"}, "Y", 3},
+	}, m.t.Len())
+	t2 := extendTable(m, rows, labels, sites)
+	m2, sameSet, err := m.Update(t2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(m2.deps, []int{1, 0}) {
+		t.Fatalf("updated deps = %v, want [1 0]", m2.deps)
+	}
+	if !sameSet {
+		t.Fatal("order-only shift reported a changed dependent set")
+	}
+	if m2.Table() != t2 {
+		t.Fatal("Update returned a model over a table other than the one it was given")
+	}
+	assertPredictionEquivalence(t, m2, refitReference(t, m2), binaryQueries(2), liveIDs(m2))
+}
+
+// TestUpdateSetShift tombstones the rows that keep column b independent of
+// the label and appends rows that break column c's association: b enters
+// the dependent set and c leaves it. Update reports the shift, keeps the
+// table it was given (rather than a copy over the surviving rows), and
+// answers like a refit.
+func TestUpdateSetShift(t *testing.T) {
+	m := fitPatterns(t, []string{"a", "b", "c"}, []pattern{
+		{[]string{"0", "0", "0"}, "X", 4},
+		{[]string{"0", "1", "0"}, "X", 4}, // carriers 4-7
+		{[]string{"1", "0", "1"}, "Y", 4}, // carriers 8-11
+		{[]string{"1", "1", "1"}, "Y", 4},
+	})
+	if !slices.Equal(m.deps, []int{0, 2}) {
+		t.Fatalf("fitted deps = %v, want [0 2]", m.deps)
+	}
+	var removed []dataset.Site
+	for id := 4; id < 12; id++ {
+		removed = append(removed, dataset.Site{From: lte.CarrierID(id), To: -1})
+	}
+	rows, labels, sites := expand([]pattern{
+		{[]string{"0", "0", "1"}, "X", 4},
+		{[]string{"1", "1", "0"}, "Y", 4},
+	}, m.t.Len())
+	t2 := extendTable(m, rows, labels, sites)
+	m2, sameSet, err := m.Update(t2, removed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	set := slices.Clone(m2.deps)
+	slices.Sort(set)
+	if !slices.Equal(set, []int{0, 1}) {
+		t.Fatalf("updated dependent set = %v, want [0 1]", set)
+	}
+	if sameSet {
+		t.Fatal("set shift reported an unchanged dependent set")
+	}
+	if m2.Table() != t2 {
+		t.Fatal("Update returned a model over a table other than the one it was given")
+	}
+	assertPredictionEquivalence(t, m2, refitReference(t, m2), binaryQueries(3), liveIDs(m2))
+}
+
+// fuzzChoices replays fuzz input as choices: Intn reads one byte modulo n
+// and Bool one byte as a fraction of 256. An exhausted input answers 0 and
+// false.
+type fuzzChoices []byte
+
+func (b *fuzzChoices) next() int {
+	if len(*b) == 0 {
+		return 0
+	}
+	v := int((*b)[0])
+	*b = (*b)[1:]
+	return v
+}
+
+func (b *fuzzChoices) Intn(n int) int { return b.next() % n }
+
+func (b *fuzzChoices) Bool(p float64) bool { return len(*b) > 0 && float64(b.next())/256 < p }
+
+// FuzzUpdateEquivalence fits a small random table drawn from seed, then
+// applies up to 8 upsert/tombstone steps decoded from data. After every
+// step the patched model's network-wide and scoped predictions must be
+// byte-identical to a refit over the surviving rows. Small tables shift
+// their dependent sets often, so this drives both kinds of shift.
+func FuzzUpdateEquivalence(f *testing.F) {
+	f.Add(uint64(1), []byte{3, 7, 1, 4, 2, 200, 9, 1, 3, 3, 5, 0, 6, 2, 1, 1, 80, 3, 2, 4})
+	f.Add(uint64(2), []byte{2, 0, 0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3, 1, 9, 9})
+	f.Add(uint64(3), []byte{1, 5, 5, 5, 5, 5, 30, 2, 2, 7, 7, 7, 7, 7, 100, 2, 9, 9})
+	f.Fuzz(func(t *testing.T, seed uint64, data []byte) {
+		r := rng.New(seed)
+		tb := randomTable(r, 20+r.Intn(60))
+		m, err := Fit(tb, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		in := fuzzChoices(data)
+		nextID := tb.Len()
+		for step := 0; step < 8 && len(in) > 0; step++ {
+			m, _ = randomStep(t, &in, m, &nextID)
+			queries := make([][]string, 6)
+			for i := range queries {
+				queries[i] = randomQuery(r, m.t)
+			}
+			assertPredictionEquivalence(t, m, refitReference(t, m), queries, liveIDs(m))
+		}
+	})
 }

@@ -6,6 +6,11 @@ import (
 	"time"
 )
 
+// traceParentKey is the traceparent header in canonical form: net/http
+// canonicalizes incoming header names, and Header.Get and Set canonicalize
+// a key that is already canonical without allocating.
+const traceParentKey = "Traceparent"
+
 // Middleware wraps next so every request runs under a root span: the
 // incoming traceparent header (if any) is honored, the response always
 // carries a traceparent header identifying the request's trace — sampled
@@ -14,9 +19,10 @@ import (
 // per the sampling policy. The route label keeps span names bounded the
 // same way obs.HTTPMetrics keeps its label space bounded.
 func (t *Tracer) Middleware(route string, next http.Handler) http.Handler {
+	name := "http " + route
 	return http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
-		ctx, sp := t.StartRequest(r.Context(), "http "+route, r.Header.Get("traceparent"))
-		rw.Header().Set("traceparent", sp.TraceParent())
+		ctx, sp := t.StartRequest(r.Context(), name, r.Header.Get(traceParentKey))
+		rw.Header().Set(traceParentKey, sp.TraceParent())
 		sp.SetStr("method", r.Method)
 		sp.SetStr("path", r.URL.Path)
 		next.ServeHTTP(rw, r.WithContext(ctx))

@@ -272,6 +272,38 @@ func TestUnsampledZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestMiddlewareHonorsLowercaseHeader sends traceparent under its
+// lowercase wire name over a real connection: the server canonicalizes the
+// name, and the middleware, which reads the canonical key, must continue
+// the caller's sampled trace under the caller's trace id.
+func TestMiddlewareHonorsLowercaseHeader(t *testing.T) {
+	const incoming = "00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01"
+	want, _, _, _ := ParseTraceParent(incoming)
+	tr := New(Options{}) // samples only on the incoming flag
+	srv := httptest.NewServer(tr.Middleware("/v1/thing", http.HandlerFunc(func(rw http.ResponseWriter, _ *http.Request) {
+		rw.WriteHeader(http.StatusNoContent)
+	})))
+	defer srv.Close()
+
+	req, err := http.NewRequest("GET", srv.URL+"/v1/thing", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header["traceparent"] = []string{incoming} // sent as written, not canonicalized
+	resp, err := srv.Client().Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	got, _, sampled, ok := ParseTraceParent(resp.Header.Get("traceparent"))
+	if !ok || !sampled || got != want {
+		t.Fatalf("response traceparent %q: trace %v sampled=%v, want trace %v sampled", resp.Header.Get("traceparent"), got, sampled, want)
+	}
+	if traces := tr.Traces(); len(traces) != 1 || traces[0].TraceID != want {
+		t.Fatalf("recorded traces %d, want the one continued trace %v", len(traces), want)
+	}
+}
+
 func TestMiddlewareAndTracesHandler(t *testing.T) {
 	tr := New(Options{SampleRate: 1})
 	inner := http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
