@@ -115,7 +115,7 @@ serve-smoke:
 load-smoke:
 	./scripts/load_smoke.sh
 
-# fuzz-smoke runs five fuzz targets, each over its committed corpus plus a
+# fuzz-smoke runs six fuzz targets, each over its committed corpus plus a
 # short randomized burst — long enough to catch a regression, short enough
 # for every `make check`. FuzzSnapshotRead catches a decoder panic
 # reintroduced on the snapshot Read path; FuzzIngestEquivalence catches a
@@ -125,7 +125,10 @@ load-smoke:
 # FuzzRenderJSON catches a recommend response whose bytes differ from
 # encoding/json's; FuzzUpdateEquivalence catches an upsert/tombstone
 # sequence after which a patched CF model answers differently from a refit
-# over its surviving rows.
+# over its surviving rows; FuzzIngestBody catches a POST /v1/carriers body
+# that panics the handler, answers a status outside 200/400/404/409/413, or
+# moves the serving generation or the journal other than by exactly one
+# step on a 200.
 # Longer sessions: go test -fuzz=<target> <package>
 # -fuzzminimizetime=5x keeps input minimization from monopolizing the
 # short budget on single-core machines.
@@ -135,3 +138,4 @@ fuzz-smoke:
 	$(GO) test -run=FuzzJournalReplay -fuzz=FuzzJournalReplay -fuzztime=10s -fuzzminimizetime=5x ./internal/journal/
 	$(GO) test -run=FuzzRenderJSON -fuzz=FuzzRenderJSON -fuzztime=10s -fuzzminimizetime=5x ./cmd/auricd/
 	$(GO) test -run=FuzzUpdateEquivalence -fuzz=FuzzUpdateEquivalence -fuzztime=10s -fuzzminimizetime=5x ./internal/learn/cf/
+	$(GO) test -run=FuzzIngestBody -fuzz=FuzzIngestBody -fuzztime=10s -fuzzminimizetime=5x ./cmd/auricd/

@@ -68,7 +68,10 @@ type (
 type (
 	// Engine learns dependency models and recommends configurations.
 	Engine = core.Engine
-	// EngineOptions configure an Engine.
+	// EngineOptions configure an Engine: Local scoping, MaxSamples,
+	// Workers and CacheEntries. The scoping radius is the paper's one X2
+	// hop, and every shard of a ShardedEngine trains on its market's live
+	// carriers; neither is an option.
 	EngineOptions = core.Options
 	// Recommendation is one recommended parameter value with confidence
 	// and a human-readable explanation.
@@ -149,8 +152,9 @@ func NewShardedEngine(schema *Schema, opts EngineOptions) *ShardedEngine {
 }
 
 // BuildX2 derives the X2 neighbor-relation graph of a network from eNodeB
-// positions.
-func BuildX2(n *Network) *X2Graph { return geo.BuildX2(n, geo.Options{}) }
+// positions, with a fixed relation radius of 0.06 degrees and caps of 8
+// X2 relations per eNodeB and 10 neighbor carriers per carrier.
+func BuildX2(n *Network) *X2Graph { return geo.BuildX2(n) }
 
 // NewLearner builds a learner by name: "collaborative-filtering",
 // "decision-tree", "random-forest", "k-nearest-neighbors",

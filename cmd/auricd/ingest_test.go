@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -20,7 +21,7 @@ import (
 
 // liveServer builds a server through the real startup path (restore), with
 // an optional journal — the configuration main assembles from -journal.
-func liveServer(t *testing.T, jpath string) *server {
+func liveServer(t testing.TB, jpath string) *server {
 	t.Helper()
 	w := auric.SimulateNetwork(auric.NetworkOptions{Seed: 3, Markets: 2, ENodeBsPerMarket: 8})
 	// cacheEntries is on, as in production: every ingest test then also
@@ -62,7 +63,7 @@ func donorItem(net *auric.Network, id int) ingestItem {
 	}}
 }
 
-func postIngest(t *testing.T, s *server, body string) *httptest.ResponseRecorder {
+func postIngest(t testing.TB, s *server, body string) *httptest.ResponseRecorder {
 	t.Helper()
 	rec := httptest.NewRecorder()
 	s.handleIngest(rec, httptest.NewRequest("POST", "/v1/carriers", strings.NewReader(body)))
@@ -169,16 +170,7 @@ func TestIngestValidationErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	good := donorItem(net0, 0)
-	badType := donorItem(net0, 0)
-	badType.Carrier.Type = "lte-9000"
-	badParam := donorItem(net0, 0)
-	badParam.Config = map[string]float64{"noSuchParameter": 1}
-	wrongKind := donorItem(net0, 0)
-	pw := s.schema.PairWise()[0]
-	wrongKind.Config = map[string]float64{s.schema.At(pw).Name: 1} // pair-wise name in the singular slot
-
-	b, err := json.Marshal([]ingestItem{good, badType, badParam, wrongKind})
+	b, err := json.Marshal(validationItems(s, net0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,6 +204,62 @@ func TestIngestValidationErrors(t *testing.T) {
 		t.Fatalf("partial apply: %d -> %d carriers, generation %d -> %d",
 			len(net0.Carriers), len(net1.Carriers), gen0, gen1)
 	}
+}
+
+// validationItems is TestIngestValidationErrors' batch: one good upsert,
+// then one each with an unknown carrier type, an unknown parameter, and a
+// pair-wise parameter in the singular slot.
+func validationItems(s *server, net *auric.Network) []ingestItem {
+	good := donorItem(net, 0)
+	badType := donorItem(net, 0)
+	badType.Carrier.Type = "lte-9000"
+	badParam := donorItem(net, 0)
+	badParam.Config = map[string]float64{"noSuchParameter": 1}
+	wrongKind := donorItem(net, 0)
+	pw := s.schema.PairWise()[0]
+	wrongKind.Config = map[string]float64{s.schema.At(pw).Name: 1} // pair-wise name in the singular slot
+	return []ingestItem{good, badType, badParam, wrongKind}
+}
+
+// FuzzIngestBody posts arbitrary bytes to POST /v1/carriers on one live
+// server with a journal. Whatever the body, the handler must not panic and
+// must answer 200, 400, 404, 409 or 413; a 200 advances the serving
+// generation and the journal by exactly one, and any other status leaves
+// both where they were.
+func FuzzIngestBody(f *testing.F) {
+	s := liveServer(f, filepath.Join(f.TempDir(), "deltas.jsonl"))
+	s.journalMax = 0 // no size-triggered compaction: the entry count only grows
+	net, _, _, err := s.engine.Inventory()
+	if err != nil {
+		f.Fatal(err)
+	}
+	items := validationItems(s, net)
+	for _, body := range []any{items, items[0], items[1], items[2], items[3], donorItem(net, 1)} {
+		b, err := json.Marshal(body)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		gen, entries := s.engine.Generation(), s.journal.Entries()
+		rec := postIngest(t, s, string(body))
+		gen2, entries2 := s.engine.Generation(), s.journal.Entries()
+		switch rec.Code {
+		case http.StatusOK:
+			if gen2 != gen+1 || entries2 != entries+1 {
+				t.Fatalf("200 moved generation %d -> %d and journal %d -> %d entries, want one step each",
+					gen, gen2, entries, entries2)
+			}
+		case http.StatusBadRequest, http.StatusNotFound, http.StatusConflict, http.StatusRequestEntityTooLarge:
+			if gen2 != gen || entries2 != entries {
+				t.Fatalf("status %d moved generation %d -> %d and journal %d -> %d entries",
+					rec.Code, gen, gen2, entries, entries2)
+			}
+		default:
+			t.Fatalf("status %d: %.300s", rec.Code, rec.Body)
+		}
+	})
 }
 
 // TestIngestBodyTooLarge pins the request size limit on the ingest route:
@@ -627,4 +675,44 @@ func tombstoned(se *auric.ShardedEngine, id auric.CarrierID) (bool, error) {
 	}
 	_, found := slices.BinarySearch(dead, id)
 	return found, nil
+}
+
+// TestDeleteShrinksShards tombstones a carrier through DELETE
+// /v1/carriers/{id} and requires GET /v1/shards to count one carrier fewer
+// in its market and the same in every other: the shard view counts live
+// carriers, not the slots tombstoned carriers keep.
+func TestDeleteShrinksShards(t *testing.T) {
+	s := liveServer(t, "")
+	h := newHandler(s, handlerOptions{registry: obs.New()})
+	shards := func() map[int]int {
+		t.Helper()
+		rec := do(h, "GET", "/v1/shards", "")
+		if rec.Code != http.StatusOK {
+			t.Fatalf("shards status %d: %s", rec.Code, rec.Body)
+		}
+		var body struct {
+			Shards []struct {
+				Market   int `json:"market"`
+				Carriers int `json:"carriers"`
+			} `json:"shards"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+			t.Fatal(err)
+		}
+		out := make(map[int]int, len(body.Shards))
+		for _, sh := range body.Shards {
+			out[sh.Market] = sh.Carriers
+		}
+		return out
+	}
+	before := shards()
+	const id = 5
+	if rec := do(h, "DELETE", fmt.Sprintf("/v1/carriers/%d", id), ""); rec.Code != http.StatusOK {
+		t.Fatalf("delete status %d: %s", rec.Code, rec.Body)
+	}
+	want := maps.Clone(before)
+	want[s.world.Net.Carriers[id].Market]--
+	if got := shards(); !reflect.DeepEqual(got, want) {
+		t.Errorf("shards after deleting carrier %d: %v, want %v (before %v)", id, got, want, before)
+	}
 }

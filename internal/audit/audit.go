@@ -69,10 +69,10 @@ type Options struct {
 	// (default 64 MiB). A single record larger than MaxBytes is still
 	// written whole — rotation bounds growth, it never truncates records.
 	MaxBytes int64
-	// Keep is how many rotated generations (<path>.1 … <path>.Keep) are
-	// retained (default 3).
-	Keep int
 }
+
+// keep is how many rotated generations (<path>.1 … <path>.3) are retained.
+const keep = 3
 
 // Log is an append-only JSONL audit log with size rotation.
 type Log struct {
@@ -87,9 +87,6 @@ type Log struct {
 func Open(path string, opts Options) (*Log, error) {
 	if opts.MaxBytes <= 0 {
 		opts.MaxBytes = 64 << 20
-	}
-	if opts.Keep <= 0 {
-		opts.Keep = 3
 	}
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
@@ -129,15 +126,15 @@ func (l *Log) Append(r Record) error {
 	return nil
 }
 
-// rotate shifts <path>.i to <path>.(i+1) for i = Keep-1 … 1, renames the
+// rotate shifts <path>.i to <path>.(i+1) for i = keep-1 … 1, renames the
 // active file to <path>.1, and opens a fresh active file. Called with the
 // lock held.
 func (l *Log) rotate() error {
 	if err := l.f.Close(); err != nil {
 		return fmt.Errorf("audit: rotate close: %w", err)
 	}
-	os.Remove(fmt.Sprintf("%s.%d", l.path, l.opts.Keep))
-	for i := l.opts.Keep - 1; i >= 1; i-- {
+	os.Remove(fmt.Sprintf("%s.%d", l.path, keep))
+	for i := keep - 1; i >= 1; i-- {
 		from := fmt.Sprintf("%s.%d", l.path, i)
 		if _, err := os.Stat(from); err == nil {
 			os.Rename(from, fmt.Sprintf("%s.%d", l.path, i+1))

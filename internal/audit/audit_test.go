@@ -93,7 +93,7 @@ func TestRotationBySize(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "audit.jsonl")
 	one, _ := json.Marshal(record(0))
 	// Room for ~3 records per generation.
-	l, err := Open(path, Options{MaxBytes: int64(3*len(one) + 10), Keep: 2})
+	l, err := Open(path, Options{MaxBytes: int64(3*len(one) + 10)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,9 +107,13 @@ func TestRotationBySize(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Active + .1 + .2 exist and are valid JSONL; .3 was dropped.
+	// Active + .1 … .keep exist and are valid JSONL; .keep+1 was dropped.
 	var total int
-	for _, p := range []string{path, path + ".1", path + ".2"} {
+	paths := []string{path}
+	for i := 1; i <= keep; i++ {
+		paths = append(paths, fmt.Sprintf("%s.%d", path, i))
+	}
+	for _, p := range paths {
 		recs := readJSONL(t, p)
 		if len(recs) == 0 && p != path {
 			t.Errorf("%s: empty generation", p)
@@ -121,11 +125,11 @@ func TestRotationBySize(t *testing.T) {
 		}
 		total += len(recs)
 	}
-	if _, err := os.Stat(path + ".3"); !os.IsNotExist(err) {
-		t.Errorf("generation beyond Keep retained: %v", err)
+	if _, err := os.Stat(fmt.Sprintf("%s.%d", path, keep+1)); !os.IsNotExist(err) {
+		t.Errorf("generation beyond keep retained: %v", err)
 	}
 	if total >= n {
-		t.Errorf("retained %d of %d records; rotation with Keep=2 should have dropped some", total, n)
+		t.Errorf("retained %d of %d records; rotation keeping %d generations should have dropped some", total, n, keep)
 	}
 	// The newest records survive in the active file.
 	recs := readJSONL(t, path)
@@ -140,7 +144,7 @@ func TestRotationBySize(t *testing.T) {
 func TestConcurrentAppend(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "audit.jsonl")
 	one, _ := json.Marshal(record(0))
-	l, err := Open(path, Options{MaxBytes: int64(5 * len(one)), Keep: 3})
+	l, err := Open(path, Options{MaxBytes: int64(5 * len(one))})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -55,18 +55,8 @@ var (
 // other learners of Table 4 are baselines for internal/eval only.
 type Options struct {
 	// Local enables geographic scoping: recommendations vote only among
-	// carriers within Hops X2 hops of the new carrier.
+	// carriers one X2 hop from the new carrier's eNodeB (Sec 3.3).
 	Local bool
-	// Hops is the scoping radius; zero means 1 (the paper's setting).
-	Hops int
-	// Vendor, when non-empty, restricts training to carriers of that
-	// vendor — the paper formulates the problem independently per vendor
-	// (Sec 2.2).
-	Vendor string
-	// Keep, when non-nil, restricts training to carriers it admits; it
-	// composes with Vendor (both must pass). ShardedEngine uses it to
-	// carve one training partition per market.
-	Keep dataset.Filter
 	// MaxSamples caps the training rows per parameter (0 = unlimited);
 	// subsampling is deterministic per parameter.
 	MaxSamples int
@@ -99,9 +89,6 @@ type Engine struct {
 
 // New creates an engine over the given schema.
 func New(schema *paramspec.Schema, opts Options) *Engine {
-	if opts.Hops <= 0 {
-		opts.Hops = 1
-	}
 	return &Engine{opts: opts, schema: schema}
 }
 
@@ -113,15 +100,14 @@ func New(schema *paramspec.Schema, opts Options) *Engine {
 // shared attribute base; each model lands in its own slot, so the fitted
 // state is identical at every worker count.
 func (e *Engine) Train(net *lte.Network, x2 *geo.Graph, cfg *lte.Config) error {
+	return e.train(net, x2, cfg, nil)
+}
+
+// train is Train over the carriers keep admits (nil admits every carrier);
+// a market shard passes its shardFilter.
+func (e *Engine) train(net *lte.Network, x2 *geo.Graph, cfg *lte.Config, keep dataset.Filter) error {
 	defer obs.Since(trainSeconds, time.Now())
 	e.net, e.x2 = net, x2
-	keep := e.opts.Keep
-	if e.opts.Vendor != "" {
-		vendor, base := e.opts.Vendor, keep
-		keep = func(id lte.CarrierID) bool {
-			return net.Carriers[id].Vendor == vendor && (base == nil || base(id))
-		}
-	}
 	b := dataset.NewBuilder(net, x2, keep)
 	models := make([]*cf.Model, e.schema.Len())
 	err := pool.ForEachNTimed(e.opts.Workers, e.schema.Len(), trainParamSeconds, func(pi int) error {
@@ -517,12 +503,12 @@ func (e *Engine) recommendOne(pi int, attrs []string, codes []int32, neighbor lt
 }
 
 // scopeIDsFor lists the carriers whose training evidence a new carrier's
-// recommendations may vote with: those within Hops X2 hops of the
-// carrier's eNodeB, excluding the carrier itself.
+// recommendations may vote with: those one X2 hop from the carrier's
+// eNodeB (the paper's radius), excluding the carrier itself.
 func (e *Engine) scopeIDsFor(c *lte.Carrier) []lte.CarrierID {
 	// Anchoring on the eNodeB (not the carrier id) also covers new
 	// carriers that are not yet in the X2 graph: their eNodeB is.
-	near := e.x2.CarriersNearENodeB(e.net, c.ENodeB, e.opts.Hops)
+	near := e.x2.CarriersNearENodeB(e.net, c.ENodeB, 1)
 	ids := make([]lte.CarrierID, 0, len(near))
 	for _, id := range near {
 		if id != c.ID {

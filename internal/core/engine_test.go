@@ -96,26 +96,16 @@ func TestLocalEngineUsesScope(t *testing.T) {
 	}
 }
 
-func TestVendorFilter(t *testing.T) {
+func TestVendorFilterNoSamplesFails(t *testing.T) {
 	w := netsim.Generate(netsim.Options{Seed: 13, Markets: 2, ENodeBsPerMarket: 12})
-	vendor := w.Net.Carriers[0].Vendor
-	e := New(w.Schema, Options{Vendor: vendor})
-	if err := e.Train(w.Net, w.X2, w.Current); err != nil {
-		t.Fatal(err)
-	}
-	recs, err := e.Recommend(&w.Net.Carriers[0], nil)
-	if err != nil || len(recs) == 0 {
-		t.Fatalf("vendor-scoped recommend: %v (%d recs)", err, len(recs))
+	e := New(w.Schema, Options{})
+	if err := e.train(w.Net, w.X2, w.Current, admitNone); err == nil {
+		t.Error("training on a partition with no carriers should fail")
 	}
 }
 
-func TestVendorFilterNoSamplesFails(t *testing.T) {
-	w := netsim.Generate(netsim.Options{Seed: 13, Markets: 2, ENodeBsPerMarket: 12})
-	e := New(w.Schema, Options{Vendor: "NoSuchVendor"})
-	if err := e.Train(w.Net, w.X2, w.Current); err == nil {
-		t.Error("training with an unknown vendor should fail")
-	}
-}
+// admitNone is a training partition that admits no carrier.
+func admitNone(lte.CarrierID) bool { return false }
 
 func TestRecommendBeforeTrain(t *testing.T) {
 	w := netsim.Generate(netsim.Options{Seed: 13, Markets: 2, ENodeBsPerMarket: 12})

@@ -262,8 +262,7 @@ func (se *ShardedEngine) Apply(d Delta) (ApplyResult, error) {
 			shards[m] = &Engine{opts: e.opts, schema: e.schema, net: net2, x2: x22, models: e.models}
 			continue
 		}
-		keep := se.marketKeep(net2, dead2, m)
-		ne, patched, refit, err := e.patched(net2, x22, cfg2, keep, md)
+		ne, patched, refit, err := e.patched(net2, x22, cfg2, shardFilter(net2, m, dead2), md)
 		if err != nil {
 			return ApplyResult{}, err
 		}
@@ -425,31 +424,11 @@ func (se *ShardedEngine) validate(cur *shardState, d Delta) (assigned, tombs []l
 		if dn >= 0 {
 			continue
 		}
-		live := 0
-		for _, id := range cur.x2.MarketCarriers(m) {
-			if !cur.dead[id] {
-				live++
-			}
-		}
-		if live+dn <= 0 {
+		if shardSize(cur.net, cur.x2, m, cur.dead)+dn <= 0 {
 			return nil, nil, fmt.Errorf("core: delta would leave market %d with no live carriers", m)
 		}
 	}
 	return assigned, tombs, nil
-}
-
-// marketKeep is the effective training filter of one market's shard over the
-// new inventory: the market partition, minus tombstones, composed with the
-// engine-level vendor and keep options — exactly what a fresh Load over the
-// same state would train on.
-func (se *ShardedEngine) marketKeep(net *lte.Network, dead map[lte.CarrierID]bool, m int) dataset.Filter {
-	base, vendor := se.opts.Keep, se.opts.Vendor
-	return func(id lte.CarrierID) bool {
-		c := &net.Carriers[id]
-		return c.Market == m && !dead[id] &&
-			(vendor == "" || c.Vendor == vendor) &&
-			(base == nil || base(id))
-	}
 }
 
 // marketDeltas slices the validated delta per affected market: the carriers
@@ -543,25 +522,23 @@ func (m *marketDelta) diffPairs(cur *shardState, x22 *geo.Graph, ids []lte.Carri
 // race). Models whose base saw no change carry over by reference.
 func (e *Engine) patched(net *lte.Network, x2 *geo.Graph, cfg *lte.Config, keep dataset.Filter,
 	md *marketDelta) (*Engine, int, int, error) {
-	opts := e.opts
-	opts.Keep = keep
-	ne := &Engine{opts: opts, schema: e.schema, net: net, x2: x2}
+	ne := &Engine{opts: e.opts, schema: e.schema, net: net, x2: x2}
 	models := slices.Clone(e.models)
 	patched, refit := 0, 0
 
-	// Rows only exist for carriers the shard trains on; the keep filter
-	// drops adds outside it (tombstones of filtered carriers match no row
-	// and are ignored by Update).
+	// Rows only exist for carriers the shard trains on; keep (the shard's
+	// shardFilter) drops adds outside it (tombstones of filtered carriers
+	// match no row and are ignored by Update).
 	var singSites, pairSites []dataset.Site
 	var singRows, pairRows [][]string
 	for _, id := range md.addIDs {
-		if keep == nil || keep(id) {
+		if keep(id) {
 			singSites = append(singSites, dataset.Site{From: id, To: -1})
 			singRows = append(singRows, net.Carriers[id].AttributeVector())
 		}
 	}
 	for _, k := range md.addEdges {
-		if keep == nil || keep(k.From) {
+		if keep(k.From) {
 			pairSites = append(pairSites, dataset.Site{From: k.From, To: k.To})
 			pairRows = append(pairRows, lte.PairAttributeVector(&net.Carriers[k.From], &net.Carriers[k.To]))
 		}

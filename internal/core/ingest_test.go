@@ -99,8 +99,8 @@ func assertSharedBases(t *testing.T, se *ShardedEngine) {
 }
 
 // referenceEngine loads a fresh sharded engine over the serving state of se,
-// excluding its tombstoned carriers through the keep filter — the
-// from-scratch refit every Apply must be indistinguishable from.
+// with its tombstoned carriers dead from the start — the from-scratch refit
+// every Apply must be indistinguishable from.
 func referenceEngine(t *testing.T, se *ShardedEngine, opts Options) *ShardedEngine {
 	t.Helper()
 	net, cfg, dead, _, err := se.SnapshotState()
@@ -115,11 +115,8 @@ func referenceEngine(t *testing.T, se *ShardedEngine, opts Options) *ShardedEngi
 	for _, id := range dead {
 		deadSet[id] = true
 	}
-	ref := NewSharded(se.Schema(), Options{
-		Local: opts.Local, Hops: opts.Hops, Workers: 1,
-		Keep: func(id lte.CarrierID) bool { return !deadSet[id] },
-	})
-	if _, err := ref.Load(net, x2, cfg); err != nil {
+	ref := NewSharded(se.Schema(), Options{Local: opts.Local, Workers: 1})
+	if _, err := ref.load(net, x2, cfg, deadSet); err != nil {
 		t.Fatalf("reference load: %v", err)
 	}
 	return ref
@@ -266,7 +263,7 @@ func checkIngestEquivalence(t *testing.T, w *netsim.World, steps int, r deltaCho
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertX2Rebuilt(t, step, net2, x22, geo.Options{})
+		assertX2Rebuilt(t, step, net2, x22)
 		// Query a spread of live carriers plus everything this delta touched.
 		queries := append([]lte.CarrierID{}, res.Assigned...)
 		live = liveCarriers(t, se)
@@ -302,9 +299,9 @@ func checkIngestEquivalence(t *testing.T, w *netsim.World, steps int, r deltaCho
 // assertX2Rebuilt requires the served X2 graph, which Apply rebuilds only
 // for the markets a delta touches, to equal a full BuildX2 over the served
 // network: every carrier's and every eNodeB's neighbor list.
-func assertX2Rebuilt(t *testing.T, step int, net *lte.Network, got *geo.Graph, opts geo.Options) {
+func assertX2Rebuilt(t *testing.T, step int, net *lte.Network, got *geo.Graph) {
 	t.Helper()
-	want := geo.BuildX2(net, opts)
+	want := geo.BuildX2(net)
 	if got.NumCarriers() != want.NumCarriers() || got.NumENodeBs() != want.NumENodeBs() {
 		t.Fatalf("step %d: served X2 graph covers %d carriers / %d eNodeBs, BuildX2 %d / %d",
 			step, got.NumCarriers(), got.NumENodeBs(), want.NumCarriers(), want.NumENodeBs())
@@ -501,7 +498,7 @@ func TestIngestUntrainedMarket(t *testing.T) {
 	w.Net.ENodeBs = append(w.Net.ENodeBs, lte.ENodeB{
 		ID: lte.ENodeBID(len(w.Net.ENodeBs)), Market: empty, Vendor: "VendorA", Lat: 90, Lon: 90,
 	})
-	x2 := geo.BuildX2(w.Net, geo.Options{})
+	x2 := geo.BuildX2(w.Net)
 	se := NewSharded(w.Schema, Options{Workers: 1})
 	if _, err := se.Load(w.Net, x2, w.Current); err != nil {
 		t.Fatal(err)

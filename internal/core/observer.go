@@ -74,8 +74,3 @@ func (se *ShardedEngine) MarketEngine(m int) (*Engine, *lte.Network, int64, erro
 	}
 	return st.shards[m], st.net, st.gen, nil
 }
-
-// EngineOpts returns the options every market shard trains with —
-// what a scratch engine needs to reproduce a shard's fit exactly
-// (Options.Keep still composes with the market partition, as in Load).
-func (se *ShardedEngine) EngineOpts() Options { return se.opts }

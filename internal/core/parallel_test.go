@@ -54,14 +54,14 @@ func TestWorkerCountEquivalence(t *testing.T) {
 }
 
 // TestTrainErrorAtAnyWorkerCount checks the pool's first-error collection:
-// a vendor filter that keeps no carriers must fail training at every
-// worker count, and must leave the engine untrained.
+// a partition that keeps no carriers must fail training at every worker
+// count, and must leave the engine untrained.
 func TestTrainErrorAtAnyWorkerCount(t *testing.T) {
 	w := netsim.Generate(netsim.Options{Seed: 13, Markets: 2, ENodeBsPerMarket: 12})
 	for _, workers := range []int{1, 4} {
-		e := New(w.Schema, Options{Vendor: "NoSuchVendor", Workers: workers})
-		if err := e.Train(w.Net, w.X2, w.Current); err == nil {
-			t.Fatalf("Workers=%d: training with an unknown vendor should fail", workers)
+		e := New(w.Schema, Options{Workers: workers})
+		if err := e.train(w.Net, w.X2, w.Current, admitNone); err == nil {
+			t.Fatalf("Workers=%d: training on an empty partition should fail", workers)
 		}
 		if e.Model(0) != nil {
 			t.Fatalf("Workers=%d: failed training left a fitted model behind", workers)

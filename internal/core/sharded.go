@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"auric/internal/dataset"
 	"auric/internal/geo"
 	"auric/internal/lte"
 	"auric/internal/obs"
@@ -40,7 +41,7 @@ const defaultStreamChunk = 64
 
 // ShardedEngine serves recommendations from one Engine per market — the
 // deployment shape of the paper's 400K-carrier, 28-market network. Each
-// shard trains only on its market's carriers (Options.Keep partition), so
+// shard trains only on its market's live carriers (shardFilter), so
 // shard model state is a fraction of a monolithic engine's and markets
 // reload independently of each other's traffic.
 //
@@ -90,8 +91,7 @@ func (st *shardState) release() {
 }
 
 // NewSharded creates an empty sharded engine over the schema. opts apply
-// to every shard; Options.Keep, when set, composes with each shard's
-// market partition. Call Load before serving.
+// to every shard. Call Load before serving.
 func NewSharded(schema *paramspec.Schema, opts Options) *ShardedEngine {
 	se := &ShardedEngine{schema: schema, opts: opts}
 	if opts.CacheEntries > 0 {
@@ -115,29 +115,24 @@ func (se *ShardedEngine) Schema() *paramspec.Schema { return se.schema }
 // successful return means no request is still reading retired state. On
 // error the serving state is untouched.
 func (se *ShardedEngine) Load(net *lte.Network, x2 *geo.Graph, cfg *lte.Config) (int64, error) {
+	return se.load(net, x2, cfg, nil)
+}
+
+// load is Load with the carriers in dead tombstoned: their shards train
+// without them, and the installed generation keeps them as its dead set.
+func (se *ShardedEngine) load(net *lte.Network, x2 *geo.Graph, cfg *lte.Config, dead map[lte.CarrierID]bool) (int64, error) {
 	se.loadMu.Lock()
 	defer se.loadMu.Unlock()
 	defer obs.Since(shardLoadSeconds, time.Now())
-	st := &shardState{gen: se.gen.Load() + 1, net: net, x2: x2, cfg: cfg}
+	st := &shardState{gen: se.gen.Load() + 1, net: net, x2: x2, cfg: cfg, dead: dead}
 	st.shards = make([]*Engine, len(net.Markets))
-	carriers := make([]int, len(net.Markets))
-	for i := range net.Carriers {
-		if m := net.Carriers[i].Market; m >= 0 && m < len(carriers) {
-			carriers[m]++
-		}
-	}
 	trained := 0
 	for m := range net.Markets {
-		if carriers[m] == 0 {
+		if shardSize(net, x2, m, dead) == 0 {
 			continue
 		}
-		opts := se.opts
-		base, market := se.opts.Keep, m
-		opts.Keep = func(id lte.CarrierID) bool {
-			return net.Carriers[id].Market == market && (base == nil || base(id))
-		}
-		eng := New(se.schema, opts)
-		if err := eng.Train(net, x2, cfg); err != nil {
+		eng, err := se.FitMarket(net, x2, cfg, m, dead)
+		if err != nil {
 			return 0, fmt.Errorf("core: training shard for market %d: %w", m, err)
 		}
 		st.shards[m] = eng
@@ -151,6 +146,40 @@ func (se *ShardedEngine) Load(net *lte.Network, x2 *geo.Graph, cfg *lte.Config) 
 		o.ObserveLoad(st.gen, net, x2, cfg)
 	}
 	return st.gen, nil
+}
+
+// shardFilter is the training partition of market m's shard: the market's
+// carriers that dead does not tombstone. Load, Apply, FitMarket and
+// ShardSizes all take the partition from here.
+func shardFilter(net *lte.Network, m int, dead map[lte.CarrierID]bool) dataset.Filter {
+	return func(id lte.CarrierID) bool {
+		return net.Carriers[id].Market == m && !dead[id]
+	}
+}
+
+// shardSize counts the carriers market m's shard trains on.
+func shardSize(net *lte.Network, x2 *geo.Graph, m int, dead map[lte.CarrierID]bool) int {
+	keep := shardFilter(net, m, dead)
+	n := 0
+	for _, id := range x2.MarketCarriers(m) {
+		if keep(id) {
+			n++
+		}
+	}
+	return n
+}
+
+// FitMarket trains a scratch engine on market m's partition of the given
+// inventory, with the carriers in dead tombstoned — exactly the shard a
+// Load of that inventory, followed by those tombstones, would serve. It
+// installs nothing; health's shadow check compares a serving shard
+// against it.
+func (se *ShardedEngine) FitMarket(net *lte.Network, x2 *geo.Graph, cfg *lte.Config, m int, dead map[lte.CarrierID]bool) (*Engine, error) {
+	eng := New(se.schema, se.opts)
+	if err := eng.train(net, x2, cfg, shardFilter(net, m, dead)); err != nil {
+		return nil, err
+	}
+	return eng, nil
 }
 
 // install publishes st as the serving generation and returns once the
@@ -217,7 +246,7 @@ func (se *ShardedEngine) Inventory() (*lte.Network, *geo.Graph, int64, error) {
 	return st.net, st.x2, st.gen, nil
 }
 
-// ShardSizes reports the carriers served by each market shard in the
+// ShardSizes reports the live carriers served by each market shard in the
 // current generation, indexed by market id (0 for untrained markets).
 func (se *ShardedEngine) ShardSizes() ([]int, error) {
 	st, err := se.acquire()
@@ -226,9 +255,9 @@ func (se *ShardedEngine) ShardSizes() ([]int, error) {
 	}
 	defer st.release()
 	sizes := make([]int, len(st.shards))
-	for i := range st.net.Carriers {
-		if m := st.net.Carriers[i].Market; m >= 0 && m < len(sizes) && st.shards[m] != nil {
-			sizes[m]++
+	for m, e := range st.shards {
+		if e != nil {
+			sizes[m] = shardSize(st.net, st.x2, m, st.dead)
 		}
 	}
 	return sizes, nil

@@ -28,10 +28,10 @@ func shardedWorld(t *testing.T, markets int) (*netsim.World, *ShardedEngine) {
 // the unsharded reference the routing must be indistinguishable from.
 func marketEngine(t *testing.T, w *netsim.World, market int) *Engine {
 	t.Helper()
-	eng := New(w.Schema, Options{Local: true, Keep: func(id lte.CarrierID) bool {
+	eng := New(w.Schema, Options{Local: true})
+	if err := eng.train(w.Net, w.X2, w.Current, func(id lte.CarrierID) bool {
 		return w.Net.Carriers[id].Market == market
-	}})
-	if err := eng.Train(w.Net, w.X2, w.Current); err != nil {
+	}); err != nil {
 		t.Fatal(err)
 	}
 	return eng
@@ -301,5 +301,32 @@ func TestShardedRouting(t *testing.T) {
 	}
 	if len(sizes) != 2 || sum != len(w.Net.Carriers) {
 		t.Errorf("shard sizes %v do not cover the %d carriers", sizes, len(w.Net.Carriers))
+	}
+}
+
+// TestShardSizesCountLiveCarriers tombstones one carrier and requires its
+// market's shard size to drop by one, and every other market's to stay:
+// a tombstoned carrier keeps its Carriers slot but no longer serves.
+func TestShardSizesCountLiveCarriers(t *testing.T) {
+	w := netsim.Generate(netsim.Options{Seed: 11, Markets: 2, ENodeBsPerMarket: 6})
+	se := NewSharded(w.Schema, Options{Workers: 1})
+	if _, err := se.Load(w.Net, w.X2, w.Current); err != nil {
+		t.Fatal(err)
+	}
+	before, err := se.ShardSizes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := se.Apply(Delta{Tombstones: []lte.CarrierID{0}}); err != nil {
+		t.Fatal(err)
+	}
+	after, err := se.ShardSizes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := append([]int(nil), before...)
+	want[w.Net.Carriers[0].Market]--
+	if !reflect.DeepEqual(after, want) {
+		t.Errorf("shard sizes after tombstoning carrier 0: %v, want %v (before %v)", after, want, before)
 	}
 }

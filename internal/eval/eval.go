@@ -189,7 +189,7 @@ func safeFolds(t *dataset.Table, opts CVOptions) ([][]int, bool) {
 // forEachParam runs fn over the given schema parameter indices on a worker
 // pool of the given size and returns the first error.
 func forEachParam(workers int, params []int, fn func(pi int) error) error {
-	return pool.ForEach(workers, params, fn)
+	return pool.ForEachN(workers, len(params), func(i int) error { return fn(params[i]) })
 }
 
 // allParams lists every schema index of the world.

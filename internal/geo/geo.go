@@ -19,38 +19,22 @@ import (
 	"auric/internal/lte"
 )
 
-// Options controls X2 graph construction.
-type Options struct {
-	// RadiusDeg is the maximum distance (in the synthetic degree plane)
-	// between two eNodeBs for an X2 relation to exist. Zero means the
-	// default of 0.06.
-	RadiusDeg float64
-	// MaxENodeBNeighbors caps the number of X2 relations per eNodeB,
-	// keeping the nearest ones. Zero means the default of 8.
-	MaxENodeBNeighbors int
-	// MaxCarrierNeighbors caps the number of neighbor carriers per
-	// carrier. Zero means the default of 10.
-	MaxCarrierNeighbors int
-}
-
-func (o Options) withDefaults() Options {
-	if o.RadiusDeg == 0 {
-		o.RadiusDeg = 0.06
-	}
-	if o.MaxENodeBNeighbors == 0 {
-		o.MaxENodeBNeighbors = 8
-	}
-	if o.MaxCarrierNeighbors == 0 {
-		o.MaxCarrierNeighbors = 10
-	}
-	return o
-}
+// X2 graph construction constants.
+const (
+	// radiusDeg is the maximum distance (in the synthetic degree plane)
+	// between two eNodeBs for an X2 relation to exist.
+	radiusDeg = 0.06
+	// maxENodeBNeighbors caps the X2 relations per eNodeB, keeping the
+	// nearest ones.
+	maxENodeBNeighbors = 8
+	// maxCarrierNeighbors caps the neighbor carriers per carrier.
+	maxCarrierNeighbors = 10
+)
 
 // Graph is an X2 neighbor-relation graph over a network. Build one with
 // BuildX2; a built graph is logically immutable and safe for concurrent use
 // (the neighborhood memo below is internally synchronized).
 type Graph struct {
-	opts    Options // with defaults applied
 	enb     [][]lte.ENodeBID
 	carrier [][]lte.CarrierID
 	// market lists every carrier of each market in ascending id order,
@@ -72,11 +56,10 @@ type hoodKey struct {
 }
 
 // BuildX2 derives the X2 graph of n from eNodeB positions. eNodeBs within
-// opts.RadiusDeg of each other and in the same market are X2-adjacent
-// (subject to the per-eNodeB cap, nearest first).
-func BuildX2(n *lte.Network, opts Options) *Graph {
+// radiusDeg of each other and in the same market are X2-adjacent (subject
+// to the per-eNodeB cap, nearest first).
+func BuildX2(n *lte.Network) *Graph {
 	g := &Graph{
-		opts:    opts.withDefaults(),
 		enb:     make([][]lte.ENodeBID, len(n.ENodeBs)),
 		carrier: make([][]lte.CarrierID, len(n.Carriers)),
 	}
@@ -95,15 +78,14 @@ func BuildX2(n *lte.Network, opts Options) *Graph {
 // its market. Because X2 is intra-market, the result shares g's eNodeB
 // adjacency and the neighbor lists of every other market's carriers, and
 // recomputes only the lists of the listed markets' carriers — the same
-// lists BuildX2 derives with g's options. The market of every carrier added
-// since g counts as listed.
+// lists BuildX2 derives. The market of every carrier added since g counts
+// as listed.
 func (g *Graph) RebuildMarkets(n *lte.Network, markets []int) *Graph {
 	if len(n.ENodeBs) != len(g.enb) || len(n.Carriers) < len(g.carrier) {
 		panic(fmt.Sprintf("geo: RebuildMarkets over %d eNodeBs and %d carriers, graph has %d and %d",
 			len(n.ENodeBs), len(n.Carriers), len(g.enb), len(g.carrier)))
 	}
 	out := &Graph{
-		opts:    g.opts,
 		enb:     g.enb,
 		carrier: make([][]lte.CarrierID, len(n.Carriers)),
 		market:  slices.Clone(g.market),
@@ -151,17 +133,16 @@ func (g *Graph) MarketCarriers(m int) []lte.CarrierID {
 // search radius so that neighbor candidates are confined to the 3x3 cell
 // neighborhood.
 func (g *Graph) buildENodeBAdjacency(n *lte.Network) {
-	opts := g.opts
 	type cellKey struct{ x, y int }
 	cells := make(map[cellKey][]lte.ENodeBID)
 	cellOf := func(lat, lon float64) cellKey {
-		return cellKey{int(math.Floor(lat / opts.RadiusDeg)), int(math.Floor(lon / opts.RadiusDeg))}
+		return cellKey{int(math.Floor(lat / radiusDeg)), int(math.Floor(lon / radiusDeg))}
 	}
 	for i := range n.ENodeBs {
 		k := cellOf(n.ENodeBs[i].Lat, n.ENodeBs[i].Lon)
 		cells[k] = append(cells[k], lte.ENodeBID(i))
 	}
-	r2 := opts.RadiusDeg * opts.RadiusDeg
+	r2 := radiusDeg * radiusDeg
 	type cand struct {
 		id lte.ENodeBID
 		d2 float64
@@ -195,8 +176,8 @@ func (g *Graph) buildENodeBAdjacency(n *lte.Network) {
 			}
 			return cands[a].id < cands[b].id
 		})
-		if len(cands) > opts.MaxENodeBNeighbors {
-			cands = cands[:opts.MaxENodeBNeighbors]
+		if len(cands) > maxENodeBNeighbors {
+			cands = cands[:maxENodeBNeighbors]
 		}
 		out := make([]lte.ENodeBID, len(cands))
 		for j, c := range cands {
@@ -209,9 +190,8 @@ func (g *Graph) buildENodeBAdjacency(n *lte.Network) {
 // carrierNeighbors derives one carrier's neighbor list from the eNodeB
 // adjacency: the other-frequency carriers co-sited on its eNodeB, then the
 // same-frequency carriers on its X2-adjacent eNodeBs, capped at
-// MaxCarrierNeighbors.
+// maxCarrierNeighbors.
 func (g *Graph) carrierNeighbors(n *lte.Network, id lte.CarrierID) []lte.CarrierID {
-	opts := g.opts
 	c := &n.Carriers[id]
 	var out []lte.CarrierID
 	// Inter-frequency co-sited carriers on the same eNodeB.
@@ -230,12 +210,12 @@ func (g *Graph) carrierNeighbors(n *lte.Network, id lte.CarrierID) []lte.Carrier
 				out = append(out, other)
 			}
 		}
-		if len(out) >= opts.MaxCarrierNeighbors*2 {
+		if len(out) >= maxCarrierNeighbors*2 {
 			break
 		}
 	}
-	if len(out) > opts.MaxCarrierNeighbors {
-		out = out[:opts.MaxCarrierNeighbors]
+	if len(out) > maxCarrierNeighbors {
+		out = out[:maxCarrierNeighbors]
 	}
 	return out
 }

@@ -43,9 +43,38 @@ func gridNetwork() *lte.Network {
 	return n
 }
 
+// crowdedNetwork is gridNetwork with maxCarrierNeighbors+2 more carriers
+// co-sited on the center eNodeB 4, each on a frequency of its own, so every
+// carrier there has more other-frequency co-sited carriers than
+// maxCarrierNeighbors admits. The extra carriers take ids 20 onward, after
+// market 1's.
+func crowdedNetwork() *lte.Network {
+	n := gridNetwork()
+	for k := 0; k < maxCarrierNeighbors+2; k++ {
+		id := lte.CarrierID(len(n.Carriers))
+		n.Carriers = append(n.Carriers, lte.Carrier{
+			ID: id, ENodeB: 4, Market: 0, FrequencyMHz: 2000 + 100*k, Lat: 0.05, Lon: 0.05,
+		})
+		n.ENodeBs[4].Carriers = append(n.ENodeBs[4].Carriers, id)
+	}
+	if err := n.Validate(); err != nil {
+		panic(err)
+	}
+	return n
+}
+
+// idRange lists the carrier ids from..to-1.
+func idRange(from, to int) []lte.CarrierID {
+	out := make([]lte.CarrierID, 0, to-from)
+	for id := from; id < to; id++ {
+		out = append(out, lte.CarrierID(id))
+	}
+	return out
+}
+
 func TestENodeBAdjacency(t *testing.T) {
 	n := gridNetwork()
-	g := BuildX2(n, Options{})
+	g := BuildX2(n)
 	// Center eNodeB (index 4 at 0.05,0.05) should neighbor its 4
 	// orthogonal grid neighbors (diagonals are at 0.0707 > 0.06 radius).
 	nbs := g.ENodeBNeighbors(4)
@@ -77,7 +106,7 @@ func TestMarketBoundary(t *testing.T) {
 			{ID: 1, Market: 1, Lat: 0.01, Lon: 0},
 		},
 	}
-	g := BuildX2(n, Options{})
+	g := BuildX2(n)
 	if len(g.ENodeBNeighbors(0)) != 0 || len(g.ENodeBNeighbors(1)) != 0 {
 		t.Error("X2 relation crossed a market boundary")
 	}
@@ -85,7 +114,7 @@ func TestMarketBoundary(t *testing.T) {
 
 func TestCarrierNeighbors(t *testing.T) {
 	n := gridNetwork()
-	g := BuildX2(n, Options{})
+	g := BuildX2(n)
 	// Carrier 8 is the 700 MHz carrier of the center eNodeB (eNodeB 4):
 	// carriers are numbered 2 per eNodeB, so eNodeB 4 hosts carriers 8, 9.
 	nbs := g.CarrierNeighbors(8)
@@ -115,19 +144,35 @@ func TestCarrierNeighbors(t *testing.T) {
 	}
 }
 
+// TestMaxCarrierNeighborsCap builds the crowded grid, where carrier 8
+// (700 MHz on eNodeB 4) has more co-sited other-frequency carriers than
+// the cap: its list must be the first maxCarrierNeighbors of them, in
+// eNodeB order, and no carrier may exceed the cap.
 func TestMaxCarrierNeighborsCap(t *testing.T) {
-	n := gridNetwork()
-	g := BuildX2(n, Options{MaxCarrierNeighbors: 2})
+	n := crowdedNetwork()
+	g := BuildX2(n)
 	for i := range n.Carriers {
-		if got := len(g.CarrierNeighbors(lte.CarrierID(i))); got > 2 {
-			t.Fatalf("carrier %d has %d neighbors, cap 2", i, got)
+		if got := len(g.CarrierNeighbors(lte.CarrierID(i))); got > maxCarrierNeighbors {
+			t.Fatalf("carrier %d has %d neighbors, cap %d", i, got, maxCarrierNeighbors)
 		}
+	}
+	var cosited []lte.CarrierID
+	for _, id := range n.ENodeBs[4].Carriers {
+		if n.Carriers[id].FrequencyMHz != 700 {
+			cosited = append(cosited, id)
+		}
+	}
+	if len(cosited) <= maxCarrierNeighbors {
+		t.Fatalf("fixture has %d co-sited candidates for carrier 8, want more than %d", len(cosited), maxCarrierNeighbors)
+	}
+	if got, want := g.CarrierNeighbors(8), cosited[:maxCarrierNeighbors]; !slices.Equal(got, want) {
+		t.Errorf("carrier 8 neighbors %v, want the first %d co-sited %v", got, maxCarrierNeighbors, want)
 	}
 }
 
 func TestCarriersWithinHops(t *testing.T) {
 	n := gridNetwork()
-	g := BuildX2(n, Options{})
+	g := BuildX2(n)
 	// Hop 0: only the co-sited carrier.
 	h0 := g.CarriersWithinHops(n, 8, 0)
 	if len(h0) != 1 || h0[0] != 9 {
@@ -159,7 +204,7 @@ func TestCarriersWithinHops(t *testing.T) {
 
 func TestGraphSizes(t *testing.T) {
 	n := gridNetwork()
-	g := BuildX2(n, Options{})
+	g := BuildX2(n)
 	if g.NumENodeBs() != len(n.ENodeBs) || g.NumCarriers() != len(n.Carriers) {
 		t.Error("graph sizes disagree with network")
 	}
@@ -168,7 +213,7 @@ func TestGraphSizes(t *testing.T) {
 func TestX2PropertiesOnGeneratedWorld(t *testing.T) {
 	// Structural invariants over a realistic generated topology.
 	n := gridNetwork()
-	g := BuildX2(n, Options{})
+	g := BuildX2(n)
 	for i := range n.ENodeBs {
 		id := lte.ENodeBID(i)
 		for _, nb := range g.ENodeBNeighbors(id) {
@@ -213,7 +258,7 @@ func TestX2PropertiesOnGeneratedWorld(t *testing.T) {
 
 func TestCarriersNearENodeBMatchesCarrierScope(t *testing.T) {
 	n := gridNetwork()
-	g := BuildX2(n, Options{})
+	g := BuildX2(n)
 	// For an existing carrier, scoping by its eNodeB and excluding itself
 	// must equal CarriersWithinHops.
 	byCarrier := g.CarriersWithinHops(n, 8, 1)
@@ -234,15 +279,14 @@ func TestCarriersNearENodeBMatchesCarrierScope(t *testing.T) {
 	}
 }
 
-// TestRebuildMarketsMatchesBuildX2 changes market 0 of the grid — a carrier
-// leaves its eNodeB, one moves, one is added — and requires the rebuilt
-// graph to equal a full BuildX2 under the options the old graph was built
-// with, to share market 1's lists, and to leave the old graph's market
-// index alone.
+// TestRebuildMarketsMatchesBuildX2 changes market 0 of the crowded grid —
+// a carrier leaves its eNodeB, one moves, one is added — and requires the
+// rebuilt graph to equal a full BuildX2, truncated lists included, to
+// share market 1's lists, and to leave the old graph's market index alone.
 func TestRebuildMarketsMatchesBuildX2(t *testing.T) {
-	n := gridNetwork()
-	opts := Options{MaxCarrierNeighbors: 3}
-	g := BuildX2(n, opts)
+	n := crowdedNetwork()
+	g := BuildX2(n)
+	crowdEnd := len(n.Carriers)
 
 	n2 := &lte.Network{Markets: n.Markets, ENodeBs: slices.Clone(n.ENodeBs), Carriers: slices.Clone(n.Carriers)}
 	for i := range n2.ENodeBs {
@@ -254,13 +298,16 @@ func TestRebuildMarketsMatchesBuildX2(t *testing.T) {
 	n2.ENodeBs[1].Carriers = slices.DeleteFunc(n2.ENodeBs[1].Carriers, func(id lte.CarrierID) bool { return id == 2 })
 	n2.Carriers[2].ENodeB = 4
 	n2.ENodeBs[4].Carriers = append(n2.ENodeBs[4].Carriers, 2)
-	added := lte.Carrier{ID: 20, ENodeB: 4, Market: 0, FrequencyMHz: 700}
+	added := lte.Carrier{ID: lte.CarrierID(crowdEnd), ENodeB: 4, Market: 0, FrequencyMHz: 1900}
 	n2.Carriers = append(n2.Carriers, added)
-	n2.ENodeBs[4].Carriers = append(n2.ENodeBs[4].Carriers, 20)
+	n2.ENodeBs[4].Carriers = append(n2.ENodeBs[4].Carriers, added.ID)
 
 	// Market 0 is not listed: a new carrier's market counts as listed.
 	g2 := g.RebuildMarkets(n2, nil)
-	want := BuildX2(n2, opts)
+	want := BuildX2(n2)
+	if got := len(g2.CarrierNeighbors(added.ID)); got != maxCarrierNeighbors {
+		t.Errorf("added carrier has %d neighbors, want a list truncated to %d", got, maxCarrierNeighbors)
+	}
 	for i := 0; i < want.NumCarriers(); i++ {
 		id := lte.CarrierID(i)
 		if got, w := g2.CarrierNeighbors(id), want.CarrierNeighbors(id); !slices.Equal(got, w) {
@@ -283,20 +330,20 @@ func TestRebuildMarketsMatchesBuildX2(t *testing.T) {
 	// index of the first, or of the old graph.
 	n3 := &lte.Network{Markets: n.Markets, ENodeBs: slices.Clone(n.ENodeBs), Carriers: slices.Clone(n.Carriers)}
 	n3.Carriers = append(n3.Carriers,
-		lte.Carrier{ID: 20, ENodeB: 9, Market: 1, FrequencyMHz: 700},
-		lte.Carrier{ID: 21, ENodeB: 8, Market: 0, FrequencyMHz: 700})
-	n3.ENodeBs[9].Carriers = append(slices.Clone(n3.ENodeBs[9].Carriers), 20)
-	n3.ENodeBs[8].Carriers = append(slices.Clone(n3.ENodeBs[8].Carriers), 21)
+		lte.Carrier{ID: lte.CarrierID(crowdEnd), ENodeB: 9, Market: 1, FrequencyMHz: 700},
+		lte.Carrier{ID: lte.CarrierID(crowdEnd + 1), ENodeB: 8, Market: 0, FrequencyMHz: 700})
+	n3.ENodeBs[9].Carriers = append(slices.Clone(n3.ENodeBs[9].Carriers), lte.CarrierID(crowdEnd))
+	n3.ENodeBs[8].Carriers = append(slices.Clone(n3.ENodeBs[8].Carriers), lte.CarrierID(crowdEnd+1))
 	g3 := g.RebuildMarkets(n3, nil)
-	market0 := []lte.CarrierID{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17}
+	market0 := append(idRange(0, 18), idRange(20, crowdEnd)...)
 	for _, c := range []struct {
 		name string
 		g    *Graph
 		want [2][]lte.CarrierID
 	}{
 		{"old", g, [2][]lte.CarrierID{market0, {18, 19}}},
-		{"first rebuild", g2, [2][]lte.CarrierID{append(slices.Clone(market0), 20), {18, 19}}},
-		{"second rebuild", g3, [2][]lte.CarrierID{append(slices.Clone(market0), 21), {18, 19, 20}}},
+		{"first rebuild", g2, [2][]lte.CarrierID{append(slices.Clone(market0), added.ID), {18, 19}}},
+		{"second rebuild", g3, [2][]lte.CarrierID{append(slices.Clone(market0), lte.CarrierID(crowdEnd+1)), {18, 19, lte.CarrierID(crowdEnd)}}},
 	} {
 		for m, w := range c.want {
 			if got := c.g.MarketCarriers(m); !slices.Equal(got, w) {

@@ -5,7 +5,6 @@ import (
 	"slices"
 	"time"
 
-	"auric/internal/core"
 	"auric/internal/lte"
 )
 
@@ -76,15 +75,10 @@ func (t *Tracker) shadowCheck(st *baseState, mh *marketHealth) (*ShadowResult, e
 	dead := st.deadSet()
 
 	// The scratch engine reproduces what Load would train for this market
-	// over the base inventory, minus everything tombstoned since — the
-	// same keep composition Apply's refit path uses.
-	opts := eng.EngineOpts()
-	base, market, bnet := opts.Keep, mh.id, st.net
-	opts.Keep = func(id lte.CarrierID) bool {
-		return bnet.Carriers[id].Market == market && !dead[id] && (base == nil || base(id))
-	}
-	scratch := core.New(eng.Schema(), opts)
-	if err := scratch.Train(bnet, st.x2, st.cfg); err != nil {
+	// over the base inventory, minus everything tombstoned since.
+	bnet := st.net
+	scratch, err := eng.FitMarket(bnet, st.x2, st.cfg, mh.id, dead)
+	if err != nil {
 		return nil, fmt.Errorf("health: shadow refit of market %d: %w", mh.id, err)
 	}
 

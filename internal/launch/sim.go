@@ -13,6 +13,19 @@ import (
 	"auric/internal/rng"
 )
 
+// Vendor behaviour of the Table 5 simulation.
+const (
+	// vendorErrorRate is the share of launches whose vendor-generated
+	// initial configuration comes from a stale, region-unaware rulebook
+	// template instead of the up-to-date regional one (Sec 5: "mistakes
+	// by vendors, out-of-date rulebooks, or pending tuning").
+	vendorErrorRate = 0.125
+	// prematureUnlockRate is the probability that an engineer unlocks a
+	// vendor-error carrier through an off-band interface before the
+	// controller pushes its changes.
+	prematureUnlockRate = 0.13
+)
+
 // SimOptions configure the Table 5 production simulation.
 type SimOptions struct {
 	// Seed drives carrier placement and vendor behaviour.
@@ -20,15 +33,6 @@ type SimOptions struct {
 	// Launches is the number of new carriers to launch (the paper reports
 	// a two-month window of 1251).
 	Launches int
-	// VendorErrorRate is the share of launches whose vendor-generated
-	// initial configuration comes from a stale, region-unaware rulebook
-	// template instead of the up-to-date regional one (Sec 5: "mistakes
-	// by vendors, out-of-date rulebooks, or pending tuning").
-	VendorErrorRate float64
-	// PrematureUnlockRate is the probability that an engineer unlocks a
-	// vendor-error carrier through an off-band interface before the
-	// controller pushes its changes.
-	PrematureUnlockRate float64
 	// Workers is the number of concurrent launch workers; concurrency is
 	// what exposes the EMS execution-queue restriction. Zero means 8.
 	Workers int
@@ -47,12 +51,6 @@ type SimOptions struct {
 func (o SimOptions) withDefaults() SimOptions {
 	if o.Launches <= 0 {
 		o.Launches = 1251
-	}
-	if o.VendorErrorRate == 0 {
-		o.VendorErrorRate = 0.125
-	}
-	if o.PrematureUnlockRate == 0 {
-		o.PrematureUnlockRate = 0.13
 	}
 	if o.Workers <= 0 {
 		o.Workers = 8
@@ -137,7 +135,7 @@ func Simulate(w *netsim.World, opts SimOptions) (SimResult, []Record, error) {
 
 		intended[id] = w.IntendedSingularFor(nc)
 		vendorCfg := intended[id]
-		vendorErr := r.Bool(opts.VendorErrorRate)
+		vendorErr := r.Bool(vendorErrorRate)
 		if vendorErr {
 			vendorCfg = w.RulebookSingularFor(nc)
 		}
@@ -147,7 +145,7 @@ func Simulate(w *netsim.World, opts SimOptions) (SimResult, []Record, error) {
 		srv.ForceLock(id)
 		jobs = append(jobs, job{
 			carrier:   nc,
-			premature: vendorErr && r.Bool(opts.PrematureUnlockRate),
+			premature: vendorErr && r.Bool(prematureUnlockRate),
 		})
 	}
 

@@ -31,8 +31,6 @@ type Options struct {
 	// Schema is the configuration parameter schema; nil means
 	// paramspec.Default().
 	Schema *paramspec.Schema
-	// X2 controls neighbor-graph construction.
-	X2 geo.Options
 
 	// Ground-truth process knobs. Zero values take the documented
 	// defaults; see DefaultOptions.
@@ -193,7 +191,7 @@ func Generate(opts Options) *World {
 		Causes: make(map[CauseKey]Cause),
 	}
 	w.buildTopology(root.Fork("topology"))
-	w.X2 = geo.BuildX2(w.Net, opts.X2)
+	w.X2 = geo.BuildX2(w.Net)
 	w.assignNeighborCounts()
 	w.buildGroundTruth(root.Fork("truth"))
 	return w

@@ -34,66 +34,10 @@ func ForEachN(workers, n int, fn func(i int) error) error {
 // the duration of every fn(i) call is observed on it (concurrently, from
 // the worker goroutines — obs metrics are safe for that). This is how
 // the engine exports per-parameter fan-out timings without the pool
-// itself knowing about metrics.
+// itself knowing about metrics. It is ForEachNCtx with a context that is
+// never done.
 func ForEachNTimed(workers, n int, per Observer, fn func(i int) error) error {
-	if per != nil {
-		inner := fn
-		fn = func(i int) error {
-			start := time.Now()
-			err := inner(i)
-			per.Observe(time.Since(start).Seconds())
-			return err
-		}
-	}
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		// Serial fast path: no goroutines, no channel, same semantics.
-		var err error
-		for i := 0; i < n; i++ {
-			if e := fn(i); e != nil && err == nil {
-				err = e
-			}
-		}
-		return err
-	}
-	var (
-		wg   sync.WaitGroup
-		mu   sync.Mutex
-		err  error
-		work = make(chan int)
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				if e := fn(i); e != nil {
-					mu.Lock()
-					if err == nil {
-						err = e
-					}
-					mu.Unlock()
-				}
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		work <- i
-	}
-	close(work)
-	wg.Wait()
-	return err
-}
-
-// ForEach runs fn(item) for every item of items on the pool, with the same
-// worker and error semantics as ForEachN.
-func ForEach(workers int, items []int, fn func(item int) error) error {
-	return ForEachN(workers, len(items), func(i int) error { return fn(items[i]) })
+	return ForEachNCtx(context.Background(), workers, n, per, func(_ context.Context, i int) error { return fn(i) })
 }
 
 // ForEachNCtx is ForEachNTimed with context cancellation: once ctx is

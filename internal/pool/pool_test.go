@@ -46,20 +46,6 @@ func TestForEachNFirstError(t *testing.T) {
 	}
 }
 
-func TestForEachMapsItems(t *testing.T) {
-	items := []int{4, 8, 15, 16, 23, 42}
-	var sum int64
-	if err := ForEach(2, items, func(item int) error {
-		atomic.AddInt64(&sum, int64(item))
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if sum != 108 {
-		t.Fatalf("sum = %d, want 108", sum)
-	}
-}
-
 func TestForEachNEmpty(t *testing.T) {
 	if err := ForEachN(8, 0, func(int) error { return nil }); err != nil {
 		t.Fatal(err)

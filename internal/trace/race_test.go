@@ -6,19 +6,22 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
 
 // TestTracesHandlerRacesWriters serves /debug/traces while writers commit
-// traces into the rings as fast as they can. The small ring capacity
-// forces constant slot reuse under the readers, so any unsynchronized
-// ring access is a -race failure, and every served body must still be
+// traces into the rings as fast as they can. Every trace is slow, so it
+// lands in both the small recent ring and the slow ring, and the writers
+// wrap both many times over under the readers: any unsynchronized ring
+// access is a -race failure, and every served body must still be
 // well-formed JSON (no torn traces).
 func TestTracesHandlerRacesWriters(t *testing.T) {
-	tr := New(Options{SampleRate: 1, SlowThreshold: time.Nanosecond, Capacity: 8, SlowCapacity: 4})
+	tr := New(Options{SampleRate: 1, SlowThreshold: time.Nanosecond, Capacity: 8})
 	h := tr.TracesHandler()
 	stop := make(chan struct{})
+	var committed atomic.Int64
 
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
@@ -40,6 +43,7 @@ func TestTracesHandlerRacesWriters(t *testing.T) {
 				leaf.Finish()
 				child.Finish()
 				root.Finish()
+				committed.Add(1)
 			}
 		}(g)
 	}
@@ -76,4 +80,7 @@ func TestTracesHandlerRacesWriters(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+	if n := committed.Load(); n <= slowCapacity {
+		t.Errorf("writers committed %d traces, too few to wrap the %d-slot slow ring", n, slowCapacity)
+	}
 }

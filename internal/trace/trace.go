@@ -103,11 +103,12 @@ type Options struct {
 	SlowThreshold time.Duration
 	// Capacity is the recent-trace ring size (default 256).
 	Capacity int
-	// SlowCapacity is the slow-trace ring size (default 64). Slow traces
-	// land in both rings, so a flood of fast sampled traffic cannot evict
-	// the outliers an operator is usually hunting.
-	SlowCapacity int
 }
+
+// slowCapacity is the slow-trace ring size. Slow traces land in both
+// rings, so a flood of fast sampled traffic cannot evict the outliers an
+// operator is usually hunting.
+const slowCapacity = 64
 
 // Tracer owns the sampling policy and the trace rings. One Tracer serves
 // a process; auricd creates it from flags and mounts its TracesHandler.
@@ -127,9 +128,6 @@ func New(opts Options) *Tracer {
 	if opts.Capacity <= 0 {
 		opts.Capacity = 256
 	}
-	if opts.SlowCapacity <= 0 {
-		opts.SlowCapacity = 64
-	}
 	if opts.SampleRate < 0 {
 		opts.SampleRate = 0
 	}
@@ -139,7 +137,7 @@ func New(opts Options) *Tracer {
 	return &Tracer{
 		opts:       opts,
 		recent:     newRing(opts.Capacity),
-		slow:       newRing(opts.SlowCapacity),
+		slow:       newRing(slowCapacity),
 		sampleBits: uint64(opts.SampleRate * (1 << 53)),
 	}
 }

@@ -34,7 +34,9 @@ type (
 	LaunchWorkflow = launch.Workflow
 	// LaunchRecord is the audit trail of one launch.
 	LaunchRecord = launch.Record
-	// LaunchSimOptions configure the Table 5 production simulation.
+	// LaunchSimOptions configure the Table 5 production simulation. The
+	// vendor error rate (12.5% of launches) and the premature-unlock rate
+	// (13% of those) are fixed, not options.
 	LaunchSimOptions = launch.SimOptions
 	// LaunchSimResult aggregates a simulation run.
 	LaunchSimResult = launch.SimResult
