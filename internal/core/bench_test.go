@@ -14,6 +14,7 @@ import (
 
 	"auric/internal/lte"
 	"auric/internal/netsim"
+	"auric/internal/rng"
 )
 
 var (
@@ -249,4 +250,41 @@ func BenchmarkRecommendBatch(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*n), "carrier-us")
 		})
 	}
+}
+
+// BenchmarkRecommendSweep is the in-process shape of perfbench's sweep
+// workload: a Local sharded engine with the cache off answers RecommendBatch
+// batches of 64 carriers without neighbors (singular parameters only),
+// walking every carrier of the world in a fixed permutation, so no answer is
+// memoized and every vote is scoped to an X2 neighborhood. One op is one
+// batch; carrier-us is the per-carrier cost.
+func BenchmarkRecommendSweep(b *testing.B) {
+	const batch = 64
+	w := benchWorld(b)
+	se := NewSharded(w.Schema, Options{Local: true, Workers: 1})
+	if _, err := se.Load(w.Net, w.X2, w.Current); err != nil {
+		b.Fatal(err)
+	}
+	perm := rng.New(1).Perm(len(w.Net.Carriers))
+	items := make([]BatchItem, batch)
+	next := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for k := range items {
+			items[k] = BatchItem{Carrier: &w.Net.Carriers[perm[next]]}
+			next = (next + 1) % len(perm)
+		}
+		res, err := se.RecommendBatch(context.Background(), items)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, r := range res {
+			if r.Err != nil {
+				b.Fatal(r.Err)
+			}
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*batch), "carrier-us")
 }
