@@ -140,6 +140,37 @@ func TestHandleRecommendBadRequests(t *testing.T) {
 	}
 }
 
+// TestRecommendMistypedIDs pins how the carrier and enodeb fields decode:
+// a JSON integer or null (unset), and any other value a 400 carrying
+// encoding/json's type error for an int field, in the single and the
+// batch form alike.
+func TestRecommendMistypedIDs(t *testing.T) {
+	s := testServer(t)
+	tests := []struct {
+		body string
+		want int
+		msg  string
+	}{
+		{`{"carrier":"5"}`, http.StatusBadRequest, "cannot unmarshal string into Go struct field recommendRequest.carrier of type int"},
+		{`{"carrier":5.5}`, http.StatusBadRequest, "cannot unmarshal number 5.5 into Go struct field recommendRequest.carrier of type int"},
+		{`{"carrier":1e2}`, http.StatusBadRequest, "cannot unmarshal number 1e2 into Go struct field recommendRequest.carrier of type int"},
+		{`{"carrier":99999999999999999999}`, http.StatusBadRequest, "cannot unmarshal number 99999999999999999999 into Go struct field recommendRequest.carrier of type int"},
+		{`{"enodeb":true}`, http.StatusBadRequest, "cannot unmarshal bool into Go struct field recommendRequest.enodeb of type int"},
+		{`{"carrier":{}}`, http.StatusBadRequest, "cannot unmarshal object into Go struct field recommendRequest.carrier of type int"},
+		{`[{"carrier":5},{"carrier":[1]}]`, http.StatusBadRequest, "cannot unmarshal array into Go struct field recommendRequest.carrier of type int"},
+		{`{"carrier":null}`, http.StatusBadRequest, "specify carrier or enodeb"},
+		{`{"carrier":null,"enodeb":4}`, http.StatusOK, ""},
+		{`{"carrier":-0}`, http.StatusOK, ""},
+	}
+	for _, tc := range tests {
+		rec := httptest.NewRecorder()
+		s.handleRecommend(rec, httptest.NewRequest("POST", "/v1/recommend", strings.NewReader(tc.body)))
+		if rec.Code != tc.want || !strings.Contains(rec.Body.String(), tc.msg) {
+			t.Errorf("body %s: status %d %q, want %d containing %q", tc.body, rec.Code, rec.Body.String(), tc.want, tc.msg)
+		}
+	}
+}
+
 // TestRecommendBodyTooLarge pins the request size limit: a body one byte
 // over maxBodyBytes answers a JSON 413 through the full stack, while a
 // body of exactly maxBodyBytes is still decoded and served.

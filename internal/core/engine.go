@@ -18,6 +18,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -241,22 +242,12 @@ func (e *Engine) RecommendBatch(ctx context.Context, items []BatchItem) ([]Batch
 	return e.recommendMany(ctx, items), nil
 }
 
-// scopesFor precomputes, per parameter model, the neighborhood scope for
-// the allowed From carriers.
-func (e *Engine) scopesFor(ids []lte.CarrierID) []learn.Scope {
-	scopes := make([]learn.Scope, len(e.models))
-	for pi, m := range e.models {
-		scopes[pi] = m.ScopeFrom(ids)
-	}
-	return scopes
-}
-
 // itemState is one batch item's planning state within recommendMany.
 type itemState struct {
 	ctx      context.Context
 	sp       *trace.Span
 	start    time.Time
-	scopes   []learn.Scope
+	scope    *learn.Scope // nil unless the engine is Local
 	firstJob int
 	numJobs  int
 	err      error
@@ -351,7 +342,9 @@ func (e *Engine) recommendMany(ctx context.Context, items []BatchItem) []BatchRe
 		}
 		if st.err == nil {
 			if e.opts.Local {
-				st.scopes = e.scopesFor(e.scopeIDsFor(c))
+				// A scope is a site set, valid for every model: one per
+				// item serves all of its jobs.
+				st.scope = e.scopeFor(c)
 			}
 			// Attribute vectors and their encodings append into the pooled
 			// arenas; a grown arena leaves earlier vectors on the previous
@@ -399,11 +392,7 @@ func (e *Engine) recommendMany(ctx context.Context, items []BatchItem) []BatchRe
 		_, psp := trace.Start(st.ctx, "recommend.param")
 		psp.SetStr("param", e.schema.At(j.pi).Name)
 		psp.SetInt("neighbor", int64(j.neighbor))
-		var sc learn.Scope
-		if st.scopes != nil {
-			sc = st.scopes[j.pi]
-		}
-		rec, err := e.recommendOne(j.pi, j.attrs, j.codes, j.neighbor, sc)
+		rec, err := e.recommendOne(j.pi, j.attrs, j.codes, j.neighbor, st.scope)
 		if err != nil {
 			psp.SetStr("error", err.Error())
 			psp.Finish()
@@ -469,7 +458,7 @@ func (e *Engine) recommendMany(ctx context.Context, items []BatchItem) []BatchRe
 
 // recommendOne predicts one parameter from the batch's shared query codes,
 // voting within sc when the engine is Local.
-func (e *Engine) recommendOne(pi int, attrs []string, codes []int32, neighbor lte.CarrierID, sc learn.Scope) (Recommendation, error) {
+func (e *Engine) recommendOne(pi int, attrs []string, codes []int32, neighbor lte.CarrierID, sc *learn.Scope) (Recommendation, error) {
 	m := e.models[pi]
 	if m == nil {
 		return Recommendation{}, fmt.Errorf("core: no model for parameter %d", pi)
@@ -502,20 +491,14 @@ func (e *Engine) recommendOne(pi int, attrs []string, codes []int32, neighbor lt
 	return rec, nil
 }
 
-// scopeIDsFor lists the carriers whose training evidence a new carrier's
-// recommendations may vote with: those one X2 hop from the carrier's
-// eNodeB (the paper's radius), excluding the carrier itself.
-func (e *Engine) scopeIDsFor(c *lte.Carrier) []lte.CarrierID {
+// scopeFor is the site set a new carrier's recommendations may vote with:
+// the carriers one X2 hop from the carrier's eNodeB (the paper's radius),
+// excluding the carrier itself.
+func (e *Engine) scopeFor(c *lte.Carrier) *learn.Scope {
 	// Anchoring on the eNodeB (not the carrier id) also covers new
 	// carriers that are not yet in the X2 graph: their eNodeB is.
 	near := e.x2.CarriersNearENodeB(e.net, c.ENodeB, 1)
-	ids := make([]lte.CarrierID, 0, len(near))
-	for _, id := range near {
-		if id != c.ID {
-			ids = append(ids, id)
-		}
-	}
-	return ids
+	return learn.NewScope(slices.DeleteFunc(near, func(id lte.CarrierID) bool { return id == c.ID }))
 }
 
 func parseLabel(spec paramspec.Param, label string) (float64, error) {

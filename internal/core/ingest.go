@@ -202,12 +202,18 @@ func (se *ShardedEngine) Apply(d Delta) (ApplyResult, error) {
 	if err := net2.Validate(); err != nil {
 		return ApplyResult{}, fmt.Errorf("core: delta produced an inconsistent network: %w", err)
 	}
-	dead2 := make(map[lte.CarrierID]bool, len(cur.dead)+len(tombs))
-	for id := range cur.dead {
-		dead2[id] = true
-	}
-	for _, id := range tombs {
-		dead2[id] = true
+	// An installed generation's tombstone set is never written, so a delta
+	// without tombstones shares it instead of copying every id ever
+	// tombstoned.
+	dead2 := cur.dead
+	if len(tombs) > 0 {
+		dead2 = make(map[lte.CarrierID]bool, len(cur.dead)+len(tombs))
+		for id := range cur.dead {
+			dead2[id] = true
+		}
+		for _, id := range tombs {
+			dead2[id] = true
+		}
 	}
 	t = lap(stageInventory, t)
 

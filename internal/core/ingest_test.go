@@ -173,11 +173,55 @@ func (b *byteChoices) Intn(n int) int { return (b.next()<<8 | b.next()) % n }
 
 func (b *byteChoices) Bool(p float64) bool { return len(*b) > 0 && float64(b.next())/256 < p }
 
-// checkIngestEquivalence loads a Local sharded engine over w, then applies
-// steps deltas drawn from r. After every Apply it requires the
-// recommendations of every carrier the delta touched, plus nine drawn live
-// carriers, to be DeepEqual to a fresh reference load. It returns the
-// total models patched in place and refit.
+// orderOnlyDelta tombstones carrier 0, which in both ingest-equivalence
+// worlds reorders some model's dependent set without changing its members
+// — the shift an order-keyed exact index would have to re-key.
+var orderOnlyDelta = Delta{Tombstones: []lte.CarrierID{0}}
+
+// depOrders snapshots every shard model's dependent columns, strongest
+// first, by market and parameter.
+func depOrders(se *ShardedEngine) [][][]int {
+	st := se.state.Load()
+	out := make([][][]int, len(st.shards))
+	for m, e := range st.shards {
+		if e == nil {
+			continue
+		}
+		out[m] = make([][]int, len(e.models))
+		for pi, cm := range e.models {
+			out[m][pi] = cm.DependentColumns()
+		}
+	}
+	return out
+}
+
+// reordered counts the models whose dependent set holds the same columns
+// in a different order in after than in before.
+func reordered(before, after [][][]int) int {
+	n := 0
+	for m := range before {
+		for pi := range before[m] {
+			b, a := before[m][pi], after[m][pi]
+			if slices.Equal(b, a) || len(a) != len(b) {
+				continue
+			}
+			bs, as := slices.Clone(b), slices.Clone(a)
+			slices.Sort(bs)
+			slices.Sort(as)
+			if slices.Equal(bs, as) {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// checkIngestEquivalence loads a Local sharded engine over w, applies
+// orderOnlyDelta (failing unless it reorders some dependent set without
+// changing it), then applies steps deltas drawn from r. After every Apply
+// it requires the recommendations of every carrier the delta touched,
+// plus nine drawn live carriers, to be DeepEqual to a fresh reference
+// load. It returns the total models patched in place and refit.
 func checkIngestEquivalence(t *testing.T, w *netsim.World, steps int, r deltaChoices) (totalPatched, totalRefit int) {
 	t.Helper()
 	opts := Options{Local: true, Workers: 1}
@@ -187,63 +231,26 @@ func checkIngestEquivalence(t *testing.T, w *netsim.World, steps int, r deltaCho
 	}
 	assertSharedBases(t, se)
 
-	for step := 0; step < steps; step++ {
-		net, cfg, _, _, err := se.SnapshotState()
+	// Step 0 applies the fixed order-only delta; steps 1..steps are drawn.
+	for step := 0; step <= steps; step++ {
+		net, _, _, _, err := se.SnapshotState()
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, x2, _, err := se.Inventory()
-		if err != nil {
-			t.Fatal(err)
-		}
-		live := liveCarriers(t, se)
-
-		// Tombstones first, so upserts can steer clear of them: a pair
-		// relation to a carrier dying in the same delta is a validation
-		// error by design.
-		var d Delta
-		tomb := make(map[lte.CarrierID]bool)
-		for k := r.Intn(3); k > 0; k-- {
-			id := live[r.Intn(len(live))]
-			if !tomb[id] {
-				tomb[id] = true
-				d.Tombstones = append(d.Tombstones, id)
-			}
-		}
-		addUpsert := func(u Upsert) {
-			pairs := u.Pairs[:0]
-			for _, pv := range u.Pairs {
-				if !tomb[pv.To] {
-					pairs = append(pairs, pv)
-				}
-			}
-			u.Pairs = pairs
-			d.Upserts = append(d.Upserts, u)
-		}
-		for k := r.Intn(3); k > 0; k-- { // fresh carriers cloned from donors
-			donor := live[r.Intn(len(live))]
-			if tomb[donor] {
-				continue
-			}
-			u := donorUpsert(se.Schema(), net, x2, cfg, donor)
-			u.Carrier.SoftwareVersion = fmt.Sprintf("RAN2%dQ%d", step, r.Intn(3)+1)
-			addUpsert(u)
-		}
-		if r.Bool(0.7) { // replace an existing carrier's attributes in place
-			id := live[r.Intn(len(live))]
-			if !tomb[id] {
-				u := donorUpsert(se.Schema(), net, x2, cfg, id)
-				u.Carrier.ID = id
-				u.Carrier.Info = "border"
-				pi := se.Schema().Singular()[r.Intn(len(se.Schema().Singular()))]
-				u.Config[pi] = se.Schema().At(pi).Max
-				addUpsert(u)
-			}
+		d := orderOnlyDelta
+		var before [][][]int
+		if step == 0 {
+			before = depOrders(se)
+		} else {
+			d = randomDelta(t, se, r, step)
 		}
 
 		res, err := se.Apply(d)
 		if err != nil {
 			t.Fatalf("step %d: Apply: %v", step, err)
+		}
+		if step == 0 && reordered(before, depOrders(se)) == 0 {
+			t.Fatal("the order-only delta reordered no model's dependent set")
 		}
 		totalPatched += res.Patched
 		totalRefit += res.Refit
@@ -266,7 +273,7 @@ func checkIngestEquivalence(t *testing.T, w *netsim.World, steps int, r deltaCho
 		assertX2Rebuilt(t, step, net2, x22)
 		// Query a spread of live carriers plus everything this delta touched.
 		queries := append([]lte.CarrierID{}, res.Assigned...)
-		live = liveCarriers(t, se)
+		live := liveCarriers(t, se)
 		for i := 0; i < 9; i++ {
 			queries = append(queries, live[r.Intn(len(live))])
 		}
@@ -294,6 +301,66 @@ func checkIngestEquivalence(t *testing.T, w *netsim.World, steps int, r deltaCho
 		}
 	}
 	return totalPatched, totalRefit
+}
+
+// randomDelta draws one ingest delta against se's serving state: up to two
+// tombstones, up to two fresh carriers cloned from live donors, and with
+// probability 0.7 an in-place replacement of a live carrier's attributes.
+func randomDelta(t *testing.T, se *ShardedEngine, r deltaChoices, step int) Delta {
+	t.Helper()
+	net, cfg, _, _, err := se.SnapshotState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, x2, _, err := se.Inventory()
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := liveCarriers(t, se)
+
+	// Tombstones first, so upserts can steer clear of them: a pair
+	// relation to a carrier dying in the same delta is a validation error
+	// by design.
+	var d Delta
+	tomb := make(map[lte.CarrierID]bool)
+	for k := r.Intn(3); k > 0; k-- {
+		id := live[r.Intn(len(live))]
+		if !tomb[id] {
+			tomb[id] = true
+			d.Tombstones = append(d.Tombstones, id)
+		}
+	}
+	addUpsert := func(u Upsert) {
+		pairs := u.Pairs[:0]
+		for _, pv := range u.Pairs {
+			if !tomb[pv.To] {
+				pairs = append(pairs, pv)
+			}
+		}
+		u.Pairs = pairs
+		d.Upserts = append(d.Upserts, u)
+	}
+	for k := r.Intn(3); k > 0; k-- { // fresh carriers cloned from donors
+		donor := live[r.Intn(len(live))]
+		if tomb[donor] {
+			continue
+		}
+		u := donorUpsert(se.Schema(), net, x2, cfg, donor)
+		u.Carrier.SoftwareVersion = fmt.Sprintf("RAN2%dQ%d", step, r.Intn(3)+1)
+		addUpsert(u)
+	}
+	if r.Bool(0.7) { // replace an existing carrier's attributes in place
+		id := live[r.Intn(len(live))]
+		if !tomb[id] {
+			u := donorUpsert(se.Schema(), net, x2, cfg, id)
+			u.Carrier.ID = id
+			u.Carrier.Info = "border"
+			pi := se.Schema().Singular()[r.Intn(len(se.Schema().Singular()))]
+			u.Config[pi] = se.Schema().At(pi).Max
+			addUpsert(u)
+		}
+	}
+	return d
 }
 
 // assertX2Rebuilt requires the served X2 graph, which Apply rebuilds only

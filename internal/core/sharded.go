@@ -73,7 +73,8 @@ type shardState struct {
 	cfg *lte.Config
 	// dead marks carriers tombstoned by live ingest (Apply); they keep
 	// their Carriers slot but serve no evidence and reject further
-	// upserts. nil for generations installed by Load.
+	// upserts. nil for generations installed by Load. Never written once
+	// installed, so an Apply without tombstones shares it.
 	dead   map[lte.CarrierID]bool
 	shards []*Engine // indexed by market id; nil for carrier-less markets
 	// refs counts the installed reference (1) plus every in-flight

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -328,5 +329,74 @@ func TestShardSizesCountLiveCarriers(t *testing.T) {
 	want[w.Net.Carriers[0].Market]--
 	if !reflect.DeepEqual(after, want) {
 		t.Errorf("shard sizes after tombstoning carrier 0: %v, want %v (before %v)", after, want, before)
+	}
+}
+
+// TestUpsertOnlyApplyKeepsTombstones tombstones a carrier, applies an
+// upsert-only delta — which shares the previous generation's tombstone set
+// instead of copying it — and then tombstones another carrier. The first
+// tombstone stays in force across the upsert-only apply (SnapshotState
+// lists it, an upsert of its id is rejected, ShardSizes leaves it out), and
+// the later tombstone does not leak into the set the upsert-only
+// generation shares.
+func TestUpsertOnlyApplyKeepsTombstones(t *testing.T) {
+	w := netsim.Generate(netsim.Options{Seed: 11, Markets: 2, ENodeBsPerMarket: 6})
+	se := NewSharded(w.Schema, Options{Workers: 1})
+	if _, err := se.Load(w.Net, w.X2, w.Current); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := se.Apply(Delta{Tombstones: []lte.CarrierID{0}}); err != nil {
+		t.Fatal(err)
+	}
+	sizes, err := se.ShardSizes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tombDead := se.state.Load().dead
+
+	net, cfg, _, _, err := se.SnapshotState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, x2, _, err := se.Inventory()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := se.Apply(Delta{Upserts: []Upsert{donorUpsert(w.Schema, net, x2, cfg, 1)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared := se.state.Load().dead
+	if reflect.ValueOf(shared).UnsafePointer() != reflect.ValueOf(tombDead).UnsafePointer() {
+		t.Error("upsert-only apply copied the tombstone set instead of sharing it")
+	}
+	if ok, err := tombstoned(se, 0); err != nil || !ok {
+		t.Fatalf("carrier 0 not tombstoned after an upsert-only apply (err %v)", err)
+	}
+	again := donorUpsert(w.Schema, net, x2, cfg, 1)
+	again.Carrier.ID = 0
+	if _, err := se.Apply(Delta{Upserts: []Upsert{again}}); err == nil {
+		t.Error("upsert of tombstoned carrier 0 accepted after an upsert-only apply")
+	}
+	want := slices.Clone(sizes)
+	want[w.Net.Carriers[1].Market]++
+	if got, err := se.ShardSizes(); err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("shard sizes after the upsert: %v (err %v), want %v", got, err, want)
+	}
+
+	if _, err := se.Apply(Delta{Tombstones: []lte.CarrierID{2}}); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []lte.CarrierID{0, 2} {
+		if ok, err := tombstoned(se, id); err != nil || !ok {
+			t.Fatalf("carrier %d not tombstoned (err %v)", id, err)
+		}
+	}
+	if shared[2] {
+		t.Error("a later tombstone was written into the set an earlier generation shares")
+	}
+	want[w.Net.Carriers[2].Market]--
+	if got, err := se.ShardSizes(); err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("shard sizes after tombstoning carrier 2: %v (err %v), want %v (carrier %d added)", got, err, want, res.Assigned[0])
 	}
 }

@@ -102,21 +102,15 @@ func crossValidate(t *dataset.Table, l learn.Learner, net *lte.Network, x2 *geo.
 	if !ok {
 		return res, nil // too few carriers to validate
 	}
-	// Neighborhood id lists (self excluded) are reused across folds and
-	// parameters; compute lazily per test carrier.
-	hoodCache := make(map[lte.CarrierID][]lte.CarrierID)
-	hood := func(c lte.CarrierID) []lte.CarrierID {
-		if h, ok := hoodCache[c]; ok {
-			return h
+	// A neighborhood scope (self excluded) names carriers, not rows, so
+	// one per test carrier serves every fold model; build it lazily.
+	hoodCache := make(map[lte.CarrierID]*learn.Scope)
+	hood := func(c lte.CarrierID) *learn.Scope {
+		h, ok := hoodCache[c]
+		if !ok {
+			h = learn.NewScope(x2.CarriersWithinHops(net, c, opts.Hops))
+			hoodCache[c] = h
 		}
-		near := x2.CarriersWithinHops(net, c, opts.Hops)
-		h := make([]lte.CarrierID, 0, len(near))
-		for _, id := range near {
-			if id != c {
-				h = append(h, id)
-			}
-		}
-		hoodCache[c] = h
 		return h
 	}
 	// Per-prediction scratch: learners consume the query row within the
@@ -135,9 +129,6 @@ func crossValidate(t *dataset.Table, l learn.Learner, net *lte.Network, x2 *geo.
 		// Scoring consumes only the label, so unscoped models exposing the
 		// explanation-free fast path skip the Prediction assembly.
 		lm, okLabel := m.(learn.LabelModel)
-		// Folds are grouped by carrier, so a carrier's pair-wise test rows
-		// arrive together and share one precomputed scope per fold model.
-		scopeCache := make(map[lte.CarrierID]learn.Scope)
 		for _, i := range test {
 			row := rowBuf
 			for c := range row {
@@ -146,19 +137,13 @@ func crossValidate(t *dataset.Table, l learn.Learner, net *lte.Network, x2 *geo.
 			var label string
 			switch {
 			case scoped:
-				self := t.Sites[i].From
-				sc, ok := scopeCache[self]
-				if !ok {
-					sc = ss.ScopeFrom(hood(self))
-					scopeCache[self] = sc
-				}
 				// A fold model trained on a Subset of t shares t's columnar
 				// base, so the table's stored codes are already the model's
 				// encoding — no per-prediction string re-encode.
 				for c := range codeBuf {
 					codeBuf[c] = t.Code(i, c)
 				}
-				label = ss.PredictCodes(codeBuf, row, sc).Label
+				label = ss.PredictCodes(codeBuf, row, hood(t.Sites[i].From)).Label
 			case okLabel:
 				label = lm.PredictLabel(row)
 			default:

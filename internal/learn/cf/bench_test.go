@@ -138,10 +138,10 @@ func BenchmarkCFPredictRelaxed(b *testing.B) {
 func benchRow(t *dataset.Table, i int) []string { return t.Row(i) }
 
 // BenchmarkPredictScopedPostings measures the local-learner path as the
-// engine runs it: the X2 neighborhood is materialized once into a sorted
-// row list (learn.SiteScoper.ScopeFrom) that joins the posting-list
-// intersection, and each query row is encoded once and voted through
-// PredictCodes.
+// engine runs it: the neighborhood is built once into a site set
+// (learn.SiteScoper.ScopeFrom) that filters each ladder level's
+// posting-list candidates into the local vote, and each query row is
+// encoded once and voted through PredictCodes.
 func BenchmarkPredictScopedPostings(b *testing.B) {
 	for _, s := range benchScales {
 		b.Run(s.name, func(b *testing.B) {

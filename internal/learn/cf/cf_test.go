@@ -2,6 +2,7 @@ package cf
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -274,5 +275,116 @@ func TestPredictionDiag(t *testing.T) {
 	scoped := predictWhere(m.(*Model), tb.Row(0), func(lte.CarrierID) bool { return true })
 	if !scoped.Diag.Scoped {
 		t.Errorf("scoped prediction diag = %+v, want Scoped", scoped.Diag)
+	}
+}
+
+// siteTable builds a table from (attribute row, label, From carrier)
+// samples.
+func siteTable(cols []string, samples []siteSample) *dataset.Table {
+	tb := &dataset.Table{Spec: learntest.Spec(), ColNames: cols}
+	for _, s := range samples {
+		tb.AppendRow(s.row)
+		tb.Labels = append(tb.Labels, s.label)
+		tb.Values = append(tb.Values, 0)
+		tb.Sites = append(tb.Sites, dataset.Site{From: s.from, To: -1})
+	}
+	return tb
+}
+
+type siteSample struct {
+	row   []string
+	label string
+	from  lte.CarrierID
+}
+
+// checkScoped requires the scoped prediction of row within ids to equal the
+// reference model's From-membership vote and to carry the expected Diag
+// level and scoping.
+func checkScoped(t *testing.T, m *Model, row []string, ids []lte.CarrierID, wantLevel int, wantScoped bool) learn.Prediction {
+	t.Helper()
+	got := m.PredictCodes(m.EncodeRow(row), row, m.ScopeFrom(ids))
+	in := func(s dataset.Site) bool { return slices.Contains(ids, s.From) }
+	if want := refFit(m.t, m.opts).predictScoped(row, in); stripDiag(got) != want {
+		t.Fatalf("scoped %v within %v\n got %+v\nwant %+v", row, ids, got, want)
+	}
+	if got.Diag.Level != wantLevel || got.Diag.Scoped != wantScoped {
+		t.Fatalf("scoped %v within %v settled at level %d (scoped %v), want level %d (scoped %v)",
+			row, ids, got.Diag.Level, got.Diag.Scoped, wantLevel, wantScoped)
+	}
+	return got
+}
+
+// TestScopedNoDependentColumns covers the scoped vote of a model with no
+// dependent columns: level 0 is the empty set, which the local vote reads
+// off the per-site row lists. A decisive neighborhood wins; a split or
+// empty one leaves the global majority.
+func TestScopedNoDependentColumns(t *testing.T) {
+	// Both values of a hold the same label mix (7 of 20 rows "2"), so the
+	// chi-square statistic is exactly zero.
+	var samples []siteSample
+	var twos []lte.CarrierID
+	for i := 0; i < 40; i++ {
+		label := "1"
+		if (i/2)%3 == 0 {
+			label = "2"
+			twos = append(twos, lte.CarrierID(i))
+		}
+		samples = append(samples, siteSample{[]string{fmt.Sprint(i % 2)}, label, lte.CarrierID(i)})
+	}
+	fitted, err := New().Fit(siteTable([]string{"a"}, samples))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := fitted.(*Model)
+	if len(m.deps) != 0 {
+		t.Fatalf("fitted deps %v, want none", m.deps)
+	}
+	for _, row := range [][]string{{"0"}, {"1"}, {"unseen"}} {
+		p := checkScoped(t, m, row, twos, 0, true)
+		if p.Label != "2" || p.Diag.Candidates != len(twos) || !p.Diag.ExactIndex {
+			t.Fatalf("local vote %+v, want label 2 from %d carriers via the full (empty) set", p, len(twos))
+		}
+		checkScoped(t, m, row, []lte.CarrierID{0, 1, 2, 3}, 0, false) // 2:2 split
+		checkScoped(t, m, row, nil, 0, false)
+	}
+}
+
+// TestScopedLosesToMoreSpecificGlobal pins the Sec 3.3 rule at the point
+// where the scoped walk stops: the network-wide vote is decisive on the
+// full dependent set, the neighborhood's vote only after relaxing, so the
+// network-wide answer wins although a decisive local answer exists deeper.
+func TestScopedLosesToMoreSpecificGlobal(t *testing.T) {
+	var samples []siteSample
+	add := func(a, b, label string, from ...lte.CarrierID) {
+		for _, id := range from {
+			samples = append(samples, siteSample{[]string{a, b}, label, id})
+		}
+	}
+	add("x", "y", "A", 0, 1, 2, 3, 10) // network-wide (x,y): 5 A, 1 B
+	add("x", "y", "B", 11)
+	add("x", "z", "B", 12, 13, 14, 15, 16, 17)
+	add("w", "y", "C", 20, 21, 22, 23, 24, 25, 26, 27)
+	add("w", "z", "D", 30, 31, 32, 33, 34, 35, 36, 37)
+	fitted, err := New().Fit(siteTable([]string{"a", "b"}, samples))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := fitted.(*Model)
+	if len(m.deps) != 2 {
+		t.Fatalf("fitted deps %v, want both columns", m.deps)
+	}
+	hood := []lte.CarrierID{10, 11, 12, 13, 14, 15, 16, 17}
+	row := []string{"x", "y"}
+	ref := refFit(m.t, m.opts)
+	qdeps := ref.queryDeps(row)
+	if _, lvl, ok := ref.ladder(row, qdeps, nil); !ok || lvl != 0 {
+		t.Fatalf("network-wide ladder decisive=%v at level %d, want decisive at 0", ok, lvl)
+	}
+	in := func(s dataset.Site) bool { return slices.Contains(hood, s.From) }
+	if _, lvl, ok := ref.ladder(row, qdeps, in); !ok || lvl == 0 {
+		t.Fatalf("local ladder decisive=%v at level %d, want decisive only after relaxing", ok, lvl)
+	}
+	if p := checkScoped(t, m, row, hood, 0, false); p.Label != "A" {
+		t.Fatalf("got %q, want the network-wide A", p.Label)
 	}
 }

@@ -9,6 +9,7 @@ package cf
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -323,13 +324,15 @@ func randomQuery(r *rng.RNG, tb *dataset.Table) []string {
 
 // TestMatchesEquivalentToLinearScan is the randomized property test for
 // the posting-list intersection: at every relaxation level of every query
-// — full set, each partial prefix, the empty set — matches() must return
-// exactly the rows the naive linear scan over string values returns, in
-// the same (ascending) order, with and without a site filter. The
-// unscoped empty set is the exception: vote reads it off the global label
-// tally and never asks matches (TestPredictionsMatchReference covers that
-// vote). The goroutine fan-out makes the race detector cover the shared
-// read-only model state.
+// — full set and each partial prefix — matches() must return exactly the
+// rows the naive linear scan over string values returns, in the same
+// (ascending) order, and the rows of it a site scope admits must be the
+// rows the scan returns with the site filter. The empty set never asks
+// matches: the ladder reads the network-wide vote off the global label
+// tally and the scoped one off the per-site row lists
+// (TestPredictionsMatchReference and TestScopeEquivalentToCallback cover
+// those votes). The goroutine fan-out makes the race detector cover the
+// shared read-only model state.
 func TestMatchesEquivalentToLinearScan(t *testing.T) {
 	const tables = 8
 	var wg sync.WaitGroup
@@ -346,31 +349,34 @@ func TestMatchesEquivalentToLinearScan(t *testing.T) {
 			}
 			m := fitted.(*Model)
 			scope := func(s dataset.Site) bool { return s.From%3 != 0 }
-			// Materialize the predicate as the sorted row list the scoped
-			// matches path intersects instead of filtering through.
-			var scopeRows []int32
-			for i, s := range tb.Sites {
-				if scope(s) {
-					scopeRows = append(scopeRows, int32(i))
+			// Materialize the predicate as the site set the scoped vote
+			// filters the candidates through.
+			var ids []lte.CarrierID
+			for _, id := range gatherIDs(tb) {
+				if scope(dataset.Site{From: id}) {
+					ids = append(ids, id)
 				}
 			}
+			sc := learn.NewScope(ids)
 			ps := predictScratchPool.Get().(*predictScratch)
 			defer putPredictScratch(ps)
 			for q := 0; q < 40; q++ {
 				row := randomQuery(r, tb)
 				codes := m.encode(ps, row)
 				qdeps := append([]int(nil), m.queryDeps(ps, codes)...)
-				for drop := 0; drop <= len(qdeps); drop++ {
+				for drop := 0; drop < len(qdeps); drop++ {
 					deps := qdeps[:len(qdeps)-drop]
 					for _, allowed := range []func(dataset.Site) bool{nil, scope} {
-						if allowed == nil && len(deps) == 0 {
-							continue
+						got := m.matches(ps, codes, deps, drop == 0)
+						if allowed != nil {
+							var in []int32
+							for _, i := range got {
+								if sc.Admits(tb.Sites[i].From) {
+									in = append(in, i)
+								}
+							}
+							got = in
 						}
-						rows := scopeRows
-						if allowed == nil {
-							rows = nil
-						}
-						got := m.matches(ps, codes, deps, drop == 0, rows, allowed != nil)
 						want := naiveMatches(tb, row, deps, allowed)
 						if !equalInt32(got, want) {
 							t.Errorf("table %d query %v drop %d (scoped=%v): matches %v, scan %v",
@@ -500,13 +506,13 @@ func TestPredictionsMatchReference(t *testing.T) {
 	})
 }
 
-// TestScopeEquivalentToCallback pins the neighborhood-posting-list
-// guarantee: PredictCodes over a precomputed ScopeFrom row list must
-// equal the reference model's From-membership predicate on label,
-// confidence and explanation, and must equal — every Diag field included —
-// PredictCodes over the rows that predicate selects, for empty,
-// singleton, half, full and duplicate-laden id sets. A nil scope must
-// behave exactly like Predict.
+// TestScopeEquivalentToCallback pins the site-set scope: PredictCodes
+// within ScopeFrom(ids) must equal the reference model's From-membership
+// predicate on label, confidence and explanation (the explanation quotes
+// how many carriers voted), and must equal — every Diag field included —
+// PredictCodes within a scope built from the same ids reversed and
+// repeated, for empty, singleton, half, full and duplicate-laden id sets.
+// A nil scope must behave exactly like Predict.
 func TestScopeEquivalentToCallback(t *testing.T) {
 	check := func(t *testing.T, tb *dataset.Table, queries [][]string) {
 		t.Helper()
@@ -530,22 +536,15 @@ func TestScopeEquivalentToCallback(t *testing.T) {
 				in[id] = true
 			}
 			pred := func(s dataset.Site) bool { return in[s.From] }
-			var wantRows []int32
-			for i, s := range tb.Sites {
-				if pred(s) {
-					wantRows = append(wantRows, int32(i))
-				}
-			}
 			sc := m.ScopeFrom(allow)
-			if got := sc.(*Scope).rows; !equalInt32(got, wantRows) || sc.NumRows() != len(wantRows) {
-				t.Fatalf("case %d: scope rows %v (NumRows %d), want %v", ci, got, sc.NumRows(), wantRows)
-			}
-			byPred := &Scope{m: m, rows: wantRows}
+			rev := slices.Clone(allow)
+			slices.Reverse(rev)
+			shuffled := learn.NewScope(append(rev, rev...))
 			for _, row := range queries {
 				codes := m.EncodeRow(row)
 				got := m.PredictCodes(codes, row, sc)
-				if want := m.PredictCodes(codes, row, byPred); got != want {
-					t.Fatalf("case %d ScopeFrom vs predicate rows (%v)\n got %+v\nwant %+v", ci, row, got, want)
+				if want := m.PredictCodes(codes, row, shuffled); got != want {
+					t.Fatalf("case %d ScopeFrom vs reversed, repeated ids (%v)\n got %+v\nwant %+v", ci, row, got, want)
 				}
 				if want := ref.predictScoped(row, pred); stripDiag(got) != want {
 					t.Fatalf("case %d scoped PredictCodes(%v)\n got %+v\nwant %+v", ci, row, got, want)

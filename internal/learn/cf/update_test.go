@@ -232,9 +232,20 @@ func TestUpdateTombstoneOnly(t *testing.T) {
 		queries[i] = randomQuery(r, m2.t)
 	}
 	assertPredictionEquivalence(t, m2, ref, queries, liveIDs(m2))
-	// A scope holding only tombstoned carriers has no rows.
-	if n := m2.ScopeFrom([]lte.CarrierID{3, 57, 99}).NumRows(); n != 0 {
-		t.Fatalf("tombstoned scope has %d rows, want 0", n)
+	// A scope admitting only tombstoned carriers has no local evidence:
+	// every answer is the network-wide vote, as in the reference over the
+	// surviving rows, which hold none of those carriers.
+	gone := []lte.CarrierID{3, 57, 99}
+	refm := refFit(ref.t, m2.opts)
+	admitsGone := func(s dataset.Site) bool { return slices.Contains(gone, s.From) }
+	for qi, row := range queries {
+		got := m2.PredictCodes(m2.EncodeRow(row), row, m2.ScopeFrom(gone))
+		if want := m2.Predict(row); got != want {
+			t.Fatalf("query %d: tombstoned scope\n got %+v\nwant the global vote %+v", qi, got, want)
+		}
+		if want := refm.predictScoped(row, admitsGone); stripDiag(got) != want {
+			t.Fatalf("query %d: tombstoned scope vs reference\n got %+v\nwant %+v", qi, got, want)
+		}
 	}
 }
 
