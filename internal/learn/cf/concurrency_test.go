@@ -11,10 +11,12 @@ import (
 )
 
 // TestConcurrentPredict hammers one fitted model from 16 goroutines mixing
-// Predict and scoped PredictCodes, each goroutine building its own scope
-// so the lazy per-site row lists race too. Fitted models are documented
+// Predict and scoped PredictCodes within one shared scope, as the engine's
+// jobs for one carrier share it. One query row holds only unseen values,
+// so its scoped walk reaches the empty dependent set and the lazy per-site
+// row lists are built under contention too. Fitted models are documented
 // read-only; run under -race this proves the prediction paths (queryDeps,
-// ladder, vote, matches, ScopeFrom) never write shared state, which the
+// ladder, localVote, matches) never write shared state, which the
 // engine's parallel recommendation fan-out depends on.
 func TestConcurrentPredict(t *testing.T) {
 	w := netsim.Generate(netsim.Options{Seed: 7, Markets: 2, ENodeBsPerMarket: 12})
@@ -35,6 +37,9 @@ func TestConcurrentPredict(t *testing.T) {
 	for i := range rows {
 		rows[i] = tb.Row(i)
 	}
+	for c := range rows[0] {
+		rows[0][c] = "never-seen"
+	}
 	even := idsWhere(m, func(id lte.CarrierID) bool { return id%2 == 0 })
 	wantPlain := make([]string, len(rows))
 	wantScoped := make([]string, len(rows))
@@ -50,11 +55,11 @@ func TestConcurrentPredict(t *testing.T) {
 	const goroutines = 16
 	var wg sync.WaitGroup
 	failures := make(chan string, goroutines)
+	scope := m.ScopeFrom(even)
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			scope := m.ScopeFrom(even)
 			for rep := 0; rep < 20; rep++ {
 				i := (g + rep) % len(rows)
 				if got := m.Predict(rows[i]).Explanation; got != wantPlain[i] {
