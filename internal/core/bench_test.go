@@ -15,6 +15,7 @@ import (
 	"auric/internal/lte"
 	"auric/internal/netsim"
 	"auric/internal/rng"
+	"auric/internal/trace"
 )
 
 var (
@@ -259,9 +260,24 @@ func BenchmarkRecommendBatch(b *testing.B) {
 // memoized and every vote is scoped to an X2 neighborhood. One op is one
 // batch; carrier-us is the per-carrier cost.
 func BenchmarkRecommendSweep(b *testing.B) {
+	benchSweep(b, Options{Local: true, Workers: 1}, nil)
+}
+
+// BenchmarkRecommendSweepServed is the sweep batch on auricd's shipping
+// settings: the worker pool at its default size (Workers: 0) and every
+// batch under a sampled root span, as auricd's default trace sample rate of
+// 1 records it. It is the in-process view of the per-job fan-out and span
+// costs BenchmarkRecommendSweep (one worker, no trace) cannot see.
+func BenchmarkRecommendSweepServed(b *testing.B) {
+	benchSweep(b, Options{Local: true}, trace.New(trace.Options{SampleRate: 1}))
+}
+
+// benchSweep runs the sweep batches on an engine built with opts, each
+// batch under a root span of tr when tr is non-nil.
+func benchSweep(b *testing.B, opts Options, tr *trace.Tracer) {
 	const batch = 64
 	w := benchWorld(b)
-	se := NewSharded(w.Schema, Options{Local: true, Workers: 1})
+	se := NewSharded(w.Schema, opts)
 	if _, err := se.Load(w.Net, w.X2, w.Current); err != nil {
 		b.Fatal(err)
 	}
@@ -275,7 +291,13 @@ func BenchmarkRecommendSweep(b *testing.B) {
 			items[k] = BatchItem{Carrier: &w.Net.Carriers[perm[next]]}
 			next = (next + 1) % len(perm)
 		}
-		res, err := se.RecommendBatch(context.Background(), items)
+		ctx := context.Background()
+		var root *trace.Span
+		if tr != nil {
+			ctx, root = tr.StartRoot(ctx, "sweep")
+		}
+		res, err := se.RecommendBatch(ctx, items)
+		root.Finish()
 		if err != nil {
 			b.Fatal(err)
 		}
