@@ -4,6 +4,7 @@ import (
 	"context"
 	"reflect"
 	"slices"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -377,5 +378,120 @@ func TestRecommendBatchBeforeTrain(t *testing.T) {
 	e := New(w.Schema, Options{})
 	if _, err := e.RecommendBatch(context.Background(), []BatchItem{{Carrier: &w.Net.Carriers[0]}}); err == nil {
 		t.Error("RecommendBatch before Train should fail")
+	}
+}
+
+// TestRecommendParamSpansPerJob pins the recommend.param spans of a sampled
+// Local recommend with pair-wise jobs: one per job, in job order (singular
+// parameters, then each neighbor's pair-wise parameters), each a child of
+// the engine.recommend span with the prediction's evidence as attributes
+// in a fixed key order, and one auric_engine_recommend_param_seconds
+// sample per job.
+func TestRecommendParamSpansPerJob(t *testing.T) {
+	e, w := trainedEngine(t, Options{Local: true, Workers: 3})
+	c := &w.Net.Carriers[5]
+	nbs := w.X2.CarrierNeighbors(c.ID)
+	if len(nbs) == 0 {
+		t.Fatal("test carrier has no X2 neighbors")
+	}
+	tr := trace.New(trace.Options{SampleRate: 1})
+	ctx, root := tr.StartRoot(context.Background(), "test")
+	before := recommendParamSeconds.Count()
+	recs, err := e.RecommendContext(ctx, c, nbs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := recommendParamSeconds.Count() - before; n != uint64(len(recs)) {
+		t.Errorf("recommend_param_seconds gained %d samples, want one per job (%d)", n, len(recs))
+	}
+	root.Finish()
+
+	var engineID trace.SpanID
+	var params []trace.SpanData
+	for _, s := range tr.Traces()[0].Spans {
+		switch s.Name {
+		case "engine.recommend":
+			engineID = s.ID
+		case "recommend.param":
+			params = append(params, s)
+		}
+	}
+	if len(params) != len(recs) {
+		t.Fatalf("recommend.param spans = %d, want %d", len(params), len(recs))
+	}
+	// recs are sorted by (neighbor, parameter); the jobs run singular
+	// parameters first, then each neighbor in the order given.
+	byJob := map[string]Recommendation{}
+	for _, r := range recs {
+		byJob[r.Param+"/"+strconv.Itoa(int(r.Neighbor))] = r
+	}
+	var order []string
+	for _, pi := range w.Schema.Singular() {
+		order = append(order, w.Schema.At(pi).Name+"/-1")
+	}
+	for _, nb := range nbs {
+		for _, pi := range w.Schema.PairWise() {
+			order = append(order, w.Schema.At(pi).Name+"/"+strconv.Itoa(int(nb)))
+		}
+	}
+	for k, s := range params {
+		r, ok := byJob[order[k]]
+		if !ok {
+			t.Fatalf("no recommendation for job %s", order[k])
+		}
+		if s.Parent != engineID || s.Duration <= 0 || s.Start.IsZero() {
+			t.Errorf("span %d: parent %s, start %v, duration %v; want a timed child of %s", k, s.Parent, s.Start, s.Duration, engineID)
+		}
+		want := []trace.Attr{
+			trace.Str("param", r.Param),
+			trace.Int("neighbor", int64(r.Neighbor)),
+			trace.Int("relaxation_level", int64(r.RelaxationLevel)),
+			trace.Int("candidates", int64(r.Candidates)),
+			trace.Float("vote_share", r.VoteShare),
+			trace.Bool("exact_index_hit", r.ExactIndexHit),
+		}
+		if r.PostingLists > 0 {
+			want = append(want, trace.Int("posting_lists", int64(r.PostingLists)))
+		}
+		if r.Dropped != "" {
+			want = append(want, trace.Str("dropped", r.Dropped))
+		}
+		want = append(want, trace.Bool("supported", r.Supported))
+		if !slices.Equal(s.Attrs, want) {
+			t.Errorf("span %d (%s) attrs = %v, want %v", k, order[k], s.Attrs, want)
+		}
+	}
+}
+
+// TestRecommendCancelledTraceRecordsRunJobs cancels a sampled recommend in
+// the middle of its fan-out: the call fails, and the trace holds a
+// recommend.param span only for the jobs that ran, each fully timed.
+func TestRecommendCancelledTraceRecordsRunJobs(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var ran atomic.Int32
+	e, w := trainedEngine(t, Options{Workers: 2, beforePredict: func() {
+		if ran.Add(1) == 5 {
+			cancel()
+		}
+	}})
+	tr := trace.New(trace.Options{SampleRate: 1})
+	tctx, root := tr.StartRoot(ctx, "test")
+	if _, err := e.RecommendContext(tctx, &w.Net.Carriers[5], nil); err == nil {
+		t.Fatal("cancelled recommend returned no error")
+	}
+	root.Finish()
+	var params int
+	for _, s := range tr.Traces()[0].Spans {
+		if s.Name != "recommend.param" {
+			continue
+		}
+		params++
+		if s.Start.IsZero() || s.Duration <= 0 || len(s.Attrs) < 3 {
+			t.Errorf("span of a cancelled fan-out: start %v, duration %v, attrs %v", s.Start, s.Duration, s.Attrs)
+		}
+	}
+	if n := int(ran.Load()); params != n || n >= len(w.Schema.Singular()) {
+		t.Errorf("recorded %d recommend.param spans for %d started jobs of %d", params, n, len(w.Schema.Singular()))
 	}
 }

@@ -64,10 +64,10 @@
 package cf
 
 import (
+	"math"
 	"slices"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 
 	"auric/internal/dataset"
@@ -642,6 +642,7 @@ type predictScratch struct {
 	inter  []int32
 	lists  [][]int32
 	counts []int32
+	buf    []byte
 }
 
 var predictScratchPool = sync.Pool{New: func() any { return new(predictScratch) }}
@@ -665,14 +666,15 @@ func (m *Model) DependentColumns() []int {
 
 // DependentValues returns the query row's "name=value" pairs for the
 // dependent attributes, strongest association first — the evidence key the
-// audit log persists alongside each recommendation. Values seen in
-// training resolve to interned strings (no per-call concatenation);
+// audit log persists alongside each recommendation. codes is the row's
+// encoding, as PredictCodes takes it, so values seen in training resolve
+// to interned strings without a dictionary lookup or a concatenation;
 // unseen values fall back to building the pair.
-func (m *Model) DependentValues(row []string) []string {
+func (m *Model) DependentValues(codes []int32, row []string) []string {
 	m.depValsOnce.Do(m.buildDepVals)
 	out := make([]string, len(m.deps))
 	for i, d := range m.deps {
-		if code := m.t.Dict(d).Code(row[d]); code >= 0 && int(code) < len(m.depVals[i]) {
+		if code := codes[d]; code >= 0 && int(code) < len(m.depVals[i]) {
 			out[i] = m.depVals[i][code]
 		} else {
 			out[i] = m.t.ColNames[d] + "=" + row[d]
@@ -790,11 +792,11 @@ func (m *Model) buildSiteRows() {
 func (m *Model) predict(ps *predictScratch, row []string, codes []int32, sc *learn.Scope) learn.Prediction {
 	qdeps := m.queryDeps(ps, codes)
 	if p := m.ladder(ps, codes, qdeps, sc); p.Label != "" {
-		return m.finish(p, row, qdeps)
+		return m.finish(ps, p, row, qdeps)
 	}
 	// Empty training table population for every dependency subset (not
 	// reachable with a non-empty table, kept as a safe default).
-	return m.finish(learn.Prediction{
+	return m.finish(ps, learn.Prediction{
 		Label:       m.globalLabel,
 		Confidence:  m.globalShare * 0.25,
 		Explanation: "no matching carriers; falling back to the global majority value",
@@ -806,25 +808,34 @@ func (m *Model) predict(ps *predictScratch, row []string, codes []int32, sc *lea
 // it renders the explanation (deferred out of vote so discarded ladder
 // levels never pay for string formatting), names the relaxed-away
 // dependent attributes (weakest first, the order the ladder dropped them)
-// and counts the settled relaxation level.
-func (m *Model) finish(p learn.Prediction, row []string, qdeps []int) learn.Prediction {
+// and counts the settled relaxation level. Each string is rendered into
+// the pooled buffer and copied out once, so it costs one allocation of
+// exactly its length.
+func (m *Model) finish(ps *predictScratch, p learn.Prediction, row []string, qdeps []int) learn.Prediction {
 	lvl := p.Diag.Level
 	if lvl >= 0 {
 		// Reconstruct the winning vote's inputs from its diagnostics; the
 		// result is byte-identical to rendering inside the vote.
-		deps := qdeps[:len(qdeps)-lvl]
-		p.Explanation = m.explain(row, deps, p.Label, p.Diag.VoteShare, p.Diag.Candidates, lvl)
+		b := ps.buf[:0]
 		if p.Diag.Scoped {
-			p.Explanation = "within the X2 neighborhood: " + p.Explanation
+			b = append(b, "within the X2 neighborhood: "...)
 		}
+		deps := qdeps[:len(qdeps)-lvl]
+		b = m.appendExplanation(b, row, deps, p.Label, p.Diag.VoteShare, p.Diag.Candidates, lvl)
+		p.Explanation = string(b)
+		ps.buf = b
 	}
 	if lvl > 0 && lvl <= len(qdeps) {
 		dropped := qdeps[len(qdeps)-lvl:]
-		names := make([]string, lvl)
+		b := ps.buf[:0]
 		for i := range dropped {
-			names[i] = m.t.ColNames[dropped[len(dropped)-1-i]]
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = append(b, m.t.ColNames[dropped[len(dropped)-1-i]]...)
 		}
-		p.Diag.Dropped = strings.Join(names, ",")
+		p.Diag.Dropped = string(b)
+		ps.buf = b
 	}
 	if p.Diag.ExactIndex {
 		exactIndexHits.Inc()
@@ -1097,48 +1108,58 @@ func intersectSorted(dst, a, b []int32) []int32 {
 	return dst
 }
 
-// explain renders the winning vote's account. It is hand-formatted with
-// strconv appends because it runs once per prediction on the serving hot
-// path; the output is byte-identical to the fmt.Fprintf formulation (Go's
-// %.0f and %d are exactly strconv's 'f'/base-10 renderings), which the
-// equivalence tests pin against the fmt-based reference model.
-func (m *Model) explain(row []string, deps []int, label string, share float64, n, drop int) string {
-	var sb strings.Builder
-	sb.Grow(96)
-	var num [24]byte
-	sb.Write(strconv.AppendFloat(num[:0], share*100, 'f', 0, 64))
-	sb.WriteString("% of ")
-	sb.Write(strconv.AppendInt(num[:0], int64(n), 10))
-	sb.WriteString(" carriers matching on ")
+// appendExplanation appends the winning vote's account to b. It is
+// hand-formatted with strconv appends because it runs once per prediction
+// on the serving hot path; the output is byte-identical to the
+// fmt.Fprintf formulation (Go's %.0f is appendRounded's rendering and %d
+// strconv's base-10 one), which the equivalence tests pin against the
+// fmt-based reference model.
+func (m *Model) appendExplanation(b []byte, row []string, deps []int, label string, share float64, n, drop int) []byte {
+	b = appendRounded(b, share*100)
+	b = append(b, "% of "...)
+	b = strconv.AppendInt(b, int64(n), 10)
+	b = append(b, " carriers matching on "...)
 	if len(deps) == 0 {
-		sb.WriteString("(no dependent attributes)")
+		b = append(b, "(no dependent attributes)"...)
 	}
 	const maxShown = 4 // strongest associations first; elide the tail
 	for i, d := range deps {
 		if i == maxShown {
-			sb.WriteString(" ∧ … (+")
-			sb.Write(strconv.AppendInt(num[:0], int64(len(deps)-maxShown), 10))
-			sb.WriteString(" more)")
+			b = append(b, " ∧ … (+"...)
+			b = strconv.AppendInt(b, int64(len(deps)-maxShown), 10)
+			b = append(b, " more)"...)
 			break
 		}
 		if i > 0 {
-			sb.WriteString(" ∧ ")
+			b = append(b, " ∧ "...)
 		}
-		sb.WriteString(m.t.ColNames[d])
-		sb.WriteByte('=')
-		sb.WriteString(row[d])
+		b = append(b, m.t.ColNames[d]...)
+		b = append(b, '=')
+		b = append(b, row[d]...)
 	}
-	sb.WriteString(" hold ")
-	sb.WriteString(label)
+	b = append(b, " hold "...)
+	b = append(b, label...)
 	if drop > 0 {
-		sb.WriteString(" (after relaxing ")
-		sb.Write(strconv.AppendInt(num[:0], int64(drop), 10))
-		sb.WriteString(" weakest dependent attribute(s))")
+		b = append(b, " (after relaxing "...)
+		b = strconv.AppendInt(b, int64(drop), 10)
+		b = append(b, " weakest dependent attribute(s))"...)
 	}
 	if share < m.opts.Support {
-		sb.WriteString(" — below the ")
-		sb.Write(strconv.AppendFloat(num[:0], m.opts.Support*100, 'f', 0, 64))
-		sb.WriteString("% support threshold")
+		b = append(b, " — below the "...)
+		b = appendRounded(b, m.opts.Support*100)
+		b = append(b, "% support threshold"...)
 	}
-	return sb.String()
+	return b
+}
+
+// appendRounded appends x with no decimals, byte-identical to
+// strconv.AppendFloat(b, x, 'f', 0, 64). For 0 ≤ x < 2⁵³ the nearest
+// integer is exact and rounds half to even, as strconv's correctly rounded
+// formatting does, so integer formatting stands in for strconv's
+// arbitrary-precision path, which %.0f of a share otherwise takes.
+func appendRounded(b []byte, x float64) []byte {
+	if !math.Signbit(x) && x < 1<<53 {
+		return strconv.AppendInt(b, int64(math.RoundToEven(x)), 10)
+	}
+	return strconv.AppendFloat(b, x, 'f', 0, 64)
 }

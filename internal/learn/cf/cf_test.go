@@ -2,7 +2,9 @@ package cf
 
 import (
 	"fmt"
+	"math"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -386,5 +388,38 @@ func TestScopedLosesToMoreSpecificGlobal(t *testing.T) {
 	}
 	if p := checkScoped(t, m, row, hood, 0, false); p.Label != "A" {
 		t.Fatalf("got %q, want the network-wide A", p.Label)
+	}
+}
+
+// TestAppendRoundedMatchesStrconv pins the explanation's percent fast path
+// to strconv's %.0f rendering for every vote share a pool of up to 5,000
+// candidates can produce, for the support threshold, and for the
+// round-half-to-even ties.
+func TestAppendRoundedMatchesStrconv(t *testing.T) {
+	var got, want []byte
+	check := func(x float64) {
+		got = appendRounded(got[:0], x)
+		want = strconv.AppendFloat(want[:0], x, 'f', 0, 64)
+		if string(got) != string(want) {
+			t.Fatalf("appendRounded(%v) = %q, want %q", x, got, want)
+		}
+	}
+	gcd := func(a, b int) int {
+		for b != 0 {
+			a, b = b, a%b
+		}
+		return a
+	}
+	for n := 1; n <= 5000; n++ {
+		for best := 0; best <= n; best++ {
+			// Division is correctly rounded, so a share equals the share
+			// of its reduced fraction: check each value once.
+			if gcd(best, n) == 1 {
+				check(float64(best) / float64(n) * 100)
+			}
+		}
+	}
+	for _, x := range []float64{DefaultSupport * 100, 0.5, 1.5, 2.5, 0.49999999999999994, 1<<53 - 1, 1 << 53, 1e300, math.Copysign(0, -1), -0.4, -2.5, math.Inf(1), math.NaN()} {
+		check(x)
 	}
 }

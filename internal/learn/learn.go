@@ -90,15 +90,44 @@ type LabelModel interface {
 // network-wide vote.
 type Scope struct {
 	ids []lte.CarrierID
+	// slots is an open-addressing set of ids with linear probing: a power
+	// of two at least twice len(ids), -1 in an empty slot, so Admits costs
+	// about one probe and the memory follows the number of ids rather
+	// than their range.
+	slots []lte.CarrierID
+	shift uint
 }
 
 // NewScope builds the scope admitting exactly the training rows whose
-// Site.From is one of ids (duplicates in ids are harmless). ids is copied,
-// not retained.
+// Site.From is one of ids (duplicates in ids are harmless; negative ids,
+// which no carrier has, are dropped). ids is copied, not retained.
 func NewScope(ids []lte.CarrierID) *Scope {
-	s := slices.Clone(ids)
+	s := slices.DeleteFunc(slices.Clone(ids), func(id lte.CarrierID) bool { return id < 0 })
 	slices.Sort(s)
-	return &Scope{ids: slices.Compact(s)}
+	s = slices.Compact(s)
+	size, shift := 1, uint(32)
+	for size < 2*len(s) {
+		size, shift = size<<1, shift-1
+	}
+	sc := &Scope{ids: s, slots: make([]lte.CarrierID, size), shift: shift}
+	for i := range sc.slots {
+		sc.slots[i] = -1
+	}
+	mask := uint32(size - 1)
+	for _, id := range s {
+		i := sc.home(id)
+		for sc.slots[i] >= 0 {
+			i = (i + 1) & mask
+		}
+		sc.slots[i] = id
+	}
+	return sc
+}
+
+// home is id's first probe slot: Fibonacci hashing keeps the top bits of
+// a multiplicative hash, so runs of consecutive ids spread over the table.
+func (s *Scope) home(id lte.CarrierID) uint32 {
+	return uint32(uint64(uint32(id)*0x9e3779b9) >> s.shift)
 }
 
 // IDs returns the admitted carriers, ascending and distinct. The slice is
@@ -107,8 +136,18 @@ func (s *Scope) IDs() []lte.CarrierID { return s.ids }
 
 // Admits reports whether the scope admits the training rows of carrier id.
 func (s *Scope) Admits(id lte.CarrierID) bool {
-	_, ok := slices.BinarySearch(s.ids, id)
-	return ok
+	if id < 0 {
+		return false
+	}
+	mask := uint32(len(s.slots) - 1)
+	for i := s.home(id); ; i = (i + 1) & mask {
+		switch s.slots[i] {
+		case id:
+			return true
+		case -1:
+			return false
+		}
+	}
 }
 
 // CodesModel is implemented by models that accept pre-encoded query rows,

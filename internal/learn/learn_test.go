@@ -1,6 +1,7 @@
 package learn_test
 
 import (
+	"slices"
 	"testing"
 
 	"auric/internal/learn"
@@ -10,6 +11,8 @@ import (
 	_ "auric/internal/learn/lasso"
 	_ "auric/internal/learn/mlp"
 	_ "auric/internal/learn/tree"
+	"auric/internal/lte"
+	"auric/internal/rng"
 )
 
 func TestRegistryHasAllLearners(t *testing.T) {
@@ -60,5 +63,40 @@ func TestMajorityLabel(t *testing.T) {
 	label, share = learn.MajorityLabel(nil)
 	if label != "" || share != 0 {
 		t.Error("empty input should yield empty label")
+	}
+}
+
+// TestScopeAdmitsMatchesIDs pins the hashed membership test to the scope's
+// sorted id list over empty, dense, sparse and far-apart id sets (ingest
+// appends ids past the trained range), with duplicates and negative ids
+// in the input.
+func TestScopeAdmitsMatchesIDs(t *testing.T) {
+	r := rng.New(7)
+	sets := [][]lte.CarrierID{nil, {0}, {-3, 5, 5, 2}, {1 << 30, 0, 7}}
+	for k := 0; k < 50; k++ {
+		ids := make([]lte.CarrierID, r.Intn(200))
+		span := 1 + r.Intn(5000)
+		for i := range ids {
+			ids[i] = lte.CarrierID(r.Intn(span))
+		}
+		sets = append(sets, ids)
+	}
+	for _, ids := range sets {
+		sc := learn.NewScope(ids)
+		got := sc.IDs()
+		if !slices.IsSorted(got) || len(slices.Compact(slices.Clone(got))) != len(got) {
+			t.Fatalf("IDs() = %v, want ascending and distinct", got)
+		}
+		for _, id := range ids {
+			if want := id >= 0; sc.Admits(id) != want {
+				t.Errorf("scope of %v: Admits(%d) = %v, want %v", ids, id, !want, want)
+			}
+		}
+		for probe := lte.CarrierID(-2); probe < 5100; probe++ {
+			_, want := slices.BinarySearch(got, probe)
+			if sc.Admits(probe) != want {
+				t.Fatalf("scope of %v: Admits(%d) = %v, want %v", ids, probe, !want, want)
+			}
+		}
 	}
 }

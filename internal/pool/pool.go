@@ -13,6 +13,7 @@ import (
 	"context"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -33,89 +34,83 @@ func ForEachN(workers, n int, fn func(i int) error) error {
 // ForEachNTimed is ForEachN with per-item timing: when per is non-nil,
 // the duration of every fn(i) call is observed on it (concurrently, from
 // the worker goroutines — obs metrics are safe for that). This is how
-// the engine exports per-parameter fan-out timings without the pool
-// itself knowing about metrics. It is ForEachNCtx with a context that is
-// never done.
+// Train exports per-parameter fit timings without the pool itself knowing
+// about metrics.
 func ForEachNTimed(workers, n int, per Observer, fn func(i int) error) error {
-	return ForEachNCtx(context.Background(), workers, n, per, func(_ context.Context, i int) error { return fn(i) })
-}
-
-// ForEachNCtx is ForEachNTimed with context cancellation: once ctx is
-// done, no further items are dispatched (items already running finish
-// normally — fn receives ctx and may observe the cancellation itself,
-// e.g. to cut short its own work). When items were skipped and no fn
-// returned an error, ctx.Err() is returned, so callers can distinguish a
-// complete fan-out from an abandoned one and discard partial output.
-// This is the serving path's variant: a disconnected HTTP client cancels
-// the per-parameter recommendation fan-out instead of burning workers on
-// an answer nobody will read.
-func ForEachNCtx(ctx context.Context, workers, n int, per Observer, fn func(ctx context.Context, i int) error) error {
+	item := func(_ context.Context, i int) error { return fn(i) }
 	if per != nil {
-		inner := fn
-		fn = func(ctx context.Context, i int) error {
+		item = func(_ context.Context, i int) error {
 			start := time.Now()
-			err := inner(ctx, i)
+			err := fn(i)
 			per.Observe(time.Since(start).Seconds())
 			return err
 		}
 	}
+	return ForEachNCtx(context.Background(), workers, n, item)
+}
+
+// ForEachNCtx is ForEachN with context cancellation: once ctx is done, no
+// further item starts (items already running finish normally — fn
+// receives ctx and may observe the cancellation itself, e.g. to cut short
+// its own work). When items were skipped and no fn returned an error,
+// ctx.Err() is returned, so callers can distinguish a complete fan-out
+// from an abandoned one and discard partial output. This is the serving
+// path's variant: a disconnected HTTP client cancels the per-parameter
+// recommendation fan-out instead of burning workers on an answer nobody
+// will read.
+//
+// Workers claim items from one atomic counter, and the calling goroutine
+// works as one of them, so an item costs an atomic add rather than a
+// channel handoff, and a one-worker fan-out starts no goroutine at all.
+func ForEachNCtx(ctx context.Context, workers, n int, fn func(ctx context.Context, i int) error) error {
 	if workers <= 0 {
 		workers = runtime.NumCPU()
 	}
 	if workers > n {
 		workers = n
 	}
-	if workers <= 1 {
-		// Serial fast path: no goroutines, no channel, same semantics.
-		var err error
-		for i := 0; i < n; i++ {
-			if ctx.Err() != nil {
-				if err == nil {
-					err = ctx.Err()
-				}
-				break
+	var (
+		next    atomic.Int64
+		skipped atomic.Bool
+		mu      sync.Mutex
+		err     error
+	)
+	done := ctx.Done()
+	run := func() {
+		for {
+			i := int(next.Add(1) - 1)
+			if i >= n {
+				return
 			}
-			if e := fn(ctx, i); e != nil && err == nil {
-				err = e
+			// Checked after the claim: an item claimed once ctx is done
+			// never starts, and the claim that finds it so marks the
+			// fan-out incomplete.
+			select {
+			case <-done:
+				skipped.Store(true)
+				return
+			default:
+			}
+			if e := fn(ctx, i); e != nil {
+				mu.Lock()
+				if err == nil {
+					err = e
+				}
+				mu.Unlock()
 			}
 		}
-		return err
 	}
-	var (
-		wg   sync.WaitGroup
-		mu   sync.Mutex
-		err  error
-		work = make(chan int)
-	)
-	for w := 0; w < workers; w++ {
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range work {
-				if e := fn(ctx, i); e != nil {
-					mu.Lock()
-					if err == nil {
-						err = e
-					}
-					mu.Unlock()
-				}
-			}
+			run()
 		}()
 	}
-	done := ctx.Done()
-	skipped := false
-dispatch:
-	for i := 0; i < n; i++ {
-		select {
-		case work <- i:
-		case <-done:
-			skipped = true
-			break dispatch
-		}
-	}
-	close(work)
+	run()
 	wg.Wait()
-	if err == nil && skipped {
+	if err == nil && skipped.Load() {
 		err = ctx.Err()
 	}
 	return err

@@ -1,6 +1,9 @@
 package trace
 
-import "strconv"
+import (
+	"math"
+	"strconv"
+)
 
 // attrKind discriminates the typed attribute payload.
 type attrKind uint8
@@ -16,13 +19,36 @@ const (
 // SetInt, ...) rather than a single SetAttr(key, any) so that annotating
 // an unsampled (nil) span never boxes the value into an interface — the
 // zero-allocation guarantee covers the arguments, not just the receiver.
+// Str, Int, Float and Bool build the same attributes as values, for
+// RecordChildren.
 type Attr struct {
 	Key  string
 	kind attrKind
 	str  string
-	num  int64
-	f    float64
+	num  int64 // the integer, 0/1 for a bool, or a float's IEEE 754 bits
 }
+
+// Str is a string attribute.
+func Str(key, v string) Attr { return Attr{Key: key, kind: kindStr, str: v} }
+
+// Int is an integer attribute.
+func Int(key string, v int64) Attr { return Attr{Key: key, kind: kindInt, num: v} }
+
+// Float is a float attribute.
+func Float(key string, v float64) Attr {
+	return Attr{Key: key, kind: kindFloat, num: int64(math.Float64bits(v))}
+}
+
+// Bool is a boolean attribute.
+func Bool(key string, v bool) Attr {
+	n := int64(0)
+	if v {
+		n = 1
+	}
+	return Attr{Key: key, kind: kindBool, num: n}
+}
+
+func (a Attr) float() float64 { return math.Float64frombits(uint64(a.num)) }
 
 // Value returns the attribute value as the natural dynamic type, for JSON
 // encoding and tree printing.
@@ -31,7 +57,7 @@ func (a Attr) Value() any {
 	case kindInt:
 		return a.num
 	case kindFloat:
-		return a.f
+		return a.float()
 	case kindBool:
 		return a.num != 0
 	default:
@@ -45,7 +71,7 @@ func (a Attr) valueString() string {
 	case kindInt:
 		return strconv.FormatInt(a.num, 10)
 	case kindFloat:
-		return strconv.FormatFloat(a.f, 'g', 4, 64)
+		return strconv.FormatFloat(a.float(), 'g', 4, 64)
 	case kindBool:
 		return strconv.FormatBool(a.num != 0)
 	default:
@@ -55,36 +81,28 @@ func (a Attr) valueString() string {
 
 // SetStr attaches a string attribute (no-op on a nil span).
 func (s *Span) SetStr(key, v string) {
-	if s == nil {
-		return
+	if s != nil {
+		s.attrs = append(s.attrs, Str(key, v))
 	}
-	s.attrs = append(s.attrs, Attr{Key: key, kind: kindStr, str: v})
 }
 
 // SetInt attaches an integer attribute (no-op on a nil span).
 func (s *Span) SetInt(key string, v int64) {
-	if s == nil {
-		return
+	if s != nil {
+		s.attrs = append(s.attrs, Int(key, v))
 	}
-	s.attrs = append(s.attrs, Attr{Key: key, kind: kindInt, num: v})
 }
 
 // SetFloat attaches a float attribute (no-op on a nil span).
 func (s *Span) SetFloat(key string, v float64) {
-	if s == nil {
-		return
+	if s != nil {
+		s.attrs = append(s.attrs, Float(key, v))
 	}
-	s.attrs = append(s.attrs, Attr{Key: key, kind: kindFloat, f: v})
 }
 
 // SetBool attaches a boolean attribute (no-op on a nil span).
 func (s *Span) SetBool(key string, v bool) {
-	if s == nil {
-		return
+	if s != nil {
+		s.attrs = append(s.attrs, Bool(key, v))
 	}
-	n := int64(0)
-	if v {
-		n = 1
-	}
-	s.attrs = append(s.attrs, Attr{Key: key, kind: kindBool, num: n})
 }

@@ -48,7 +48,14 @@ func TestTracesHandlerRacesWriters(t *testing.T) {
 		}(g)
 	}
 
-	for r := 0; r < 200; r++ {
+	// Read at least 200 times, and on until the writers have wrapped the
+	// slow ring: on a loaded machine the reads can finish before any
+	// writer is scheduled. Past the deadline the count check below fails.
+	deadline := time.Now().Add(30 * time.Second)
+	for r := 0; r < 200 || committed.Load() <= slowCapacity; r++ {
+		if time.Now().After(deadline) {
+			break
+		}
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/traces", nil))
 		if rec.Code != http.StatusOK {
