@@ -9,6 +9,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -215,6 +216,53 @@ func BenchmarkIngestRefit(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkLoadWorld measures a ShardedEngine.Load of the perfbench world
+// (28 markets × 30 eNodeBs) and what the fitted shards keep:
+// retained-KB/carrier is the live heap the loaded engine adds, read after
+// a GC, per carrier of the world. It is the model-memory figure at the
+// perfbench size.
+func BenchmarkLoadWorld(b *testing.B) {
+	benchLoad(b, netsim.Generate(netsim.Options{Seed: 1, Markets: 28, ENodeBsPerMarket: 30}))
+}
+
+// BenchmarkLoadDense is BenchmarkLoadWorld for one market at the paper's
+// density (1,840 eNodeBs, about 14.5K carriers), where every per-market
+// cost is 62× the perfbench world's. Skipped under -short.
+func BenchmarkLoadDense(b *testing.B) {
+	if testing.Short() {
+		b.Skip("paper-density market; skipped under -short")
+	}
+	benchLoad(b, netsim.Generate(netsim.Options{Seed: 1, Markets: 1, ENodeBsPerMarket: 1840}))
+}
+
+// benchLoad loads w into a fresh sharded engine per iteration and reports
+// the retained heap per carrier, measured between two forced GCs outside
+// the timer.
+func benchLoad(b *testing.B, w *netsim.World) {
+	var ms runtime.MemStats
+	var retained int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		before := int64(ms.HeapAlloc)
+		b.StartTimer()
+		se := NewSharded(w.Schema, Options{Workers: 1})
+		if _, err := se.Load(w.Net, w.X2, w.Current); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		retained += int64(ms.HeapAlloc) - before
+		runtime.KeepAlive(se)
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(retained)/1024/float64(b.N)/float64(len(w.Net.Carriers)), "retained-KB/carrier")
 }
 
 // BenchmarkRecommendBatch measures the batched serving path at three batch
