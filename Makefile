@@ -75,10 +75,11 @@ bench-json:
 # files (scripts/benchcompare) and is a hard gate: an ns/op regression
 # above MAX_REGRESS percent whose mean±spread intervals do not overlap
 # fails the build (spread comes from COUNT>1 bench-json runs; wobbles on
-# noisy benchmarks overlap and pass). allocs/op is gated the same way at
-# MAX_ALLOC_REGRESS — allocation counts are nearly deterministic, so the
-# alloc gate sits far tighter than the timing one and catches a hot path
-# quietly regrowing garbage. Setting either to 0 makes that metric
+# noisy benchmarks overlap and pass). allocs/op and retained-KB/carrier
+# (BenchmarkLoad*'s retained heap per carrier) are gated the same way at
+# MAX_ALLOC_REGRESS — both are nearly deterministic, so the alloc gate sits
+# far tighter than the timing one and catches a hot path quietly regrowing
+# garbage or fitted state growing back. Setting either to 0 makes that metric
 # report-only. Explicit form:
 #   make bench-compare OLD=old.json NEW=new.json [MAX_REGRESS=PCT] [MAX_ALLOC_REGRESS=PCT]
 # Without OLD, any working-tree BENCH_*.json that differs from HEAD is

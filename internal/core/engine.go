@@ -99,7 +99,9 @@ func New(schema *paramspec.Schema, opts Options) *Engine {
 // Parameters are independent (Sec 3.2: one chi-square dependency model
 // each), so they fit on a worker pool of Options.Workers goroutines over a
 // shared attribute base; each model lands in its own slot, so the fitted
-// state is identical at every worker count.
+// state is identical at every worker count. The fits share one cf.Shared,
+// so models over the same rows (all singular tables, and pair-wise tables
+// with the same configured relations) share their posting lists.
 func (e *Engine) Train(net *lte.Network, x2 *geo.Graph, cfg *lte.Config) error {
 	return e.train(net, x2, cfg, nil)
 }
@@ -110,6 +112,7 @@ func (e *Engine) train(net *lte.Network, x2 *geo.Graph, cfg *lte.Config, keep da
 	defer obs.Since(trainSeconds, time.Now())
 	e.net, e.x2 = net, x2
 	b := dataset.NewBuilder(net, x2, keep)
+	sh := cf.NewShared()
 	models := make([]*cf.Model, e.schema.Len())
 	err := pool.ForEachNTimed(e.opts.Workers, e.schema.Len(), trainParamSeconds, func(pi int) error {
 		t := b.Labeled(cfg, pi)
@@ -119,7 +122,7 @@ func (e *Engine) train(net *lte.Network, x2 *geo.Graph, cfg *lte.Config, keep da
 		if t.Len() == 0 {
 			return fmt.Errorf("core: no training samples for %s", e.schema.At(pi).Name)
 		}
-		m, err := cf.Fit(t, cf.Options{})
+		m, err := sh.Fit(t, cf.Options{})
 		if err != nil {
 			return fmt.Errorf("core: fitting %s: %w", e.schema.At(pi).Name, err)
 		}
@@ -379,6 +382,11 @@ func (e *Engine) recommendMany(ctx context.Context, items []BatchItem) []BatchRe
 		sp.SetBool("scoped", e.opts.Local)
 	}
 	sc.jobs = jobs
+	// Every item's spans join one trace: reserve them all at once, the
+	// jobs' recommend.param spans and each item's engine.recommend.
+	if len(items) > 0 {
+		states[0].sp.Reserve(len(jobs) + len(items))
+	}
 	// out escapes into the returned results (each item's recommendations
 	// alias a window of it), so it is the one per-call allocation the
 	// scratch pool cannot absorb.
@@ -396,10 +404,15 @@ func (e *Engine) recommendMany(ctx context.Context, items []BatchItem) []BatchRe
 			e.opts.beforePredict()
 		}
 		j := jobs[i]
+		m := e.models[j.pi]
+		if m == nil {
+			errs[i] = fmt.Errorf("core: no model for parameter %d", j.pi)
+			return nil
+		}
 		// The job's one start and end reading feed both the histogram
 		// and, when the item is sampled, its recommend.param span.
 		start := time.Now()
-		rec, err := e.recommendOne(j.pi, j.attrs, j.codes, j.neighbor, states[j.item].scope)
+		rec, err := e.recommendOne(m, j.pi, j.attrs, j.codes, j.neighbor, states[j.item].scope)
 		dur := time.Since(start)
 		recommendParamSeconds.Observe(dur.Seconds())
 		times[i] = trace.Child{Start: start, Duration: dur}
@@ -409,6 +422,15 @@ func (e *Engine) recommendMany(ctx context.Context, items []BatchItem) []BatchRe
 		out[i] = rec
 		return nil
 	})
+	// Every job that ran made one prediction, and out holds its level even
+	// when the job failed afterwards: the batch counts them in one tally.
+	var levels cf.Levels
+	for i := range jobs {
+		if !times[i].Start.IsZero() {
+			levels.Add(out[i].RelaxationLevel)
+		}
+	}
+	levels.Publish()
 	results := make([]BatchResult, len(items))
 	for ii := range items {
 		st := &states[ii]
@@ -493,18 +515,16 @@ func (e *Engine) recordParamSpans(sc *recScratch, st *itemState, out []Recommend
 	sc.spanAttrs = attrs
 }
 
-// recommendOne predicts one parameter from the batch's shared query codes,
-// voting within sc when the engine is Local.
-func (e *Engine) recommendOne(pi int, attrs []string, codes []int32, neighbor lte.CarrierID, sc *learn.Scope) (Recommendation, error) {
-	m := e.models[pi]
-	if m == nil {
-		return Recommendation{}, fmt.Errorf("core: no model for parameter %d", pi)
-	}
-	p := m.PredictCodes(codes, attrs, sc)
+// recommendOne predicts parameter pi through its model m from the batch's
+// shared query codes, voting within sc when the engine is Local. The
+// prediction is not counted on the cf relaxation counters: the caller
+// tallies RelaxationLevel, which the result carries even with an error.
+func (e *Engine) recommendOne(m *cf.Model, pi int, attrs []string, codes []int32, neighbor lte.CarrierID, sc *learn.Scope) (Recommendation, error) {
+	p := m.PredictCodesUncounted(codes, attrs, sc)
 	spec := e.schema.At(pi)
 	v, err := parseLabel(spec, p.Label)
 	if err != nil {
-		return Recommendation{}, err
+		return Recommendation{RelaxationLevel: p.Diag.Level}, err
 	}
 	rec := Recommendation{
 		Param:       spec.Name,

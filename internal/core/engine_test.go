@@ -11,6 +11,7 @@ import (
 
 	"auric/internal/lte"
 	"auric/internal/netsim"
+	"auric/internal/obs"
 	"auric/internal/trace"
 )
 
@@ -493,5 +494,57 @@ func TestRecommendCancelledTraceRecordsRunJobs(t *testing.T) {
 	}
 	if n := int(ran.Load()); params != n || n >= len(w.Schema.Singular()) {
 		t.Errorf("recorded %d recommend.param spans for %d started jobs of %d", params, n, len(w.Schema.Singular()))
+	}
+}
+
+// TestRecommendBatchCountsLevels pins the auric_cf_* counters across a
+// RecommendBatch. The batch tallies its predictions and publishes once, and
+// the counters must move exactly as one count per prediction would: each
+// relaxation level by the number of recommendations that settled there,
+// and exact-index hits by level 0's.
+func TestRecommendBatchCountsLevels(t *testing.T) {
+	e, w := trainedEngine(t, Options{Local: true, Workers: 3})
+	var items []BatchItem
+	for _, id := range []lte.CarrierID{1, 4, 9, 15, 22} {
+		items = append(items, BatchItem{Carrier: &w.Net.Carriers[id], Neighbors: w.X2.CarrierNeighbors(id)})
+	}
+	levels := obs.Default().CounterVec("auric_cf_relaxation_level_total", "", "level")
+	hits := obs.Default().Counter("auric_cf_exact_index_hits_total", "")
+	label := func(lvl int) string {
+		if lvl < 0 {
+			return "fallback"
+		}
+		return strconv.Itoa(lvl)
+	}
+	// The batch is deterministic: a first run names the levels it reaches,
+	// so reading their counters creates no new series.
+	res, err := e.RecommendBatch(context.Background(), items)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]uint64{}
+	for _, r := range res {
+		if r.Err != nil {
+			t.Fatal(r.Err)
+		}
+		for _, rec := range r.Recommendations {
+			want[label(rec.RelaxationLevel)]++
+		}
+	}
+	before := map[string]uint64{}
+	for l := range want {
+		before[l] = levels.With(l).Value()
+	}
+	hitsBefore := hits.Value()
+	if _, err := e.RecommendBatch(context.Background(), items); err != nil {
+		t.Fatal(err)
+	}
+	for l, n := range want {
+		if got := levels.With(l).Value() - before[l]; got != n {
+			t.Errorf("level %s counter rose by %d, want %d", l, got, n)
+		}
+	}
+	if got := hits.Value() - hitsBefore; got != want["0"] {
+		t.Errorf("exact-index hits rose by %d, want %d", got, want["0"])
 	}
 }

@@ -216,9 +216,57 @@ func reordered(before, after [][][]int) int {
 	return n
 }
 
+// onePairParamDelta adds a clone of the first live carrier with X2
+// neighbors whose only pair-wise configuration is one parameter's value
+// toward its first neighbor. The relation's row enters every pair-wise
+// table of the market, which share their rows until this append.
+func onePairParamDelta(t *testing.T, se *ShardedEngine) Delta {
+	t.Helper()
+	net, cfg, _, _, err := se.SnapshotState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, x2, _, err := se.Inventory()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pi := se.Schema().PairWise()[0]
+	for _, id := range liveCarriers(t, se) {
+		nbs := x2.CarrierNeighbors(id)
+		if len(nbs) == 0 {
+			continue
+		}
+		v, ok := cfg.GetPair(id, nbs[0], pi)
+		if !ok {
+			continue
+		}
+		u := donorUpsert(se.Schema(), net, x2, cfg, id)
+		u.Pairs = []PairValues{{To: nbs[0], Values: map[int]float64{pi: v}}}
+		return Delta{Upserts: []Upsert{u}}
+	}
+	t.Fatal("no live carrier has a configured X2 relation")
+	return Delta{}
+}
+
+// pairRows counts the rows of every shard's pair-wise tables.
+func pairRows(se *ShardedEngine) []int {
+	var n []int
+	for _, e := range se.state.Load().shards {
+		if e == nil {
+			continue
+		}
+		for _, pi := range e.schema.PairWise() {
+			n = append(n, e.models[pi].Table().Len())
+		}
+	}
+	return n
+}
+
 // checkIngestEquivalence loads a Local sharded engine over w, applies
 // orderOnlyDelta (failing unless it reorders some dependent set without
-// changing it), then applies steps deltas drawn from r. After every Apply
+// changing it) and onePairParamDelta (failing unless every pair-wise table
+// of the touched market gains its one row), then applies steps deltas
+// drawn from r. After every Apply
 // it requires the recommendations of every carrier the delta touched,
 // plus nine drawn live carriers, to be DeepEqual to a fresh reference
 // load. It returns the total models patched in place and refit.
@@ -231,18 +279,22 @@ func checkIngestEquivalence(t *testing.T, w *netsim.World, steps int, r deltaCho
 	}
 	assertSharedBases(t, se)
 
-	// Step 0 applies the fixed order-only delta; steps 1..steps are drawn.
-	for step := 0; step <= steps; step++ {
+	// Steps 0 and 1 apply the fixed deltas; steps 2..steps+1 are drawn.
+	for step := 0; step <= steps+1; step++ {
 		net, _, _, _, err := se.SnapshotState()
 		if err != nil {
 			t.Fatal(err)
 		}
 		d := orderOnlyDelta
 		var before [][][]int
-		if step == 0 {
+		rowsBefore := pairRows(se)
+		switch step {
+		case 0:
 			before = depOrders(se)
-		} else {
-			d = randomDelta(t, se, r, step)
+		case 1:
+			d = onePairParamDelta(t, se)
+		default:
+			d = randomDelta(t, se, r, step-1)
 		}
 
 		res, err := se.Apply(d)
@@ -251,6 +303,15 @@ func checkIngestEquivalence(t *testing.T, w *netsim.World, steps int, r deltaCho
 		}
 		if step == 0 && reordered(before, depOrders(se)) == 0 {
 			t.Fatal("the order-only delta reordered no model's dependent set")
+		}
+		if step == 1 {
+			grew := 0
+			for i, n := range pairRows(se) {
+				grew += n - rowsBefore[i]
+			}
+			if want := len(se.Schema().PairWise()); grew != want {
+				t.Fatalf("the one-relation delta added %d pair-wise rows, want %d (one per pair-wise table)", grew, want)
+			}
 		}
 		totalPatched += res.Patched
 		totalRefit += res.Refit

@@ -1,6 +1,8 @@
 package dataset
 
 import (
+	"math"
+	"slices"
 	"sync"
 	"time"
 
@@ -22,11 +24,20 @@ var labelSeconds = obs.Default().Histogram("auric_dataset_label_seconds",
 // directed X2 relation), so the builder interns each columnar base once
 // and Labeled only attaches the per-parameter label and value columns.
 //
+// Pair-wise tables also share their rows: Labeled hands out one row-index
+// slice and one Sites slice per distinct set of configured relations, so
+// the pair-wise tables of a network slice usually hold one copy between
+// them, and equal Table.RowSet values tell a learner which tables it may
+// share row-derived structures between.
+//
 // Bases are built lazily on first use and are immutable afterwards; a
 // Builder is safe for concurrent use by multiple goroutines, which is how
 // core.Engine.Train shares one builder across its worker pool. Tables
 // returned by Labeled share the base's columns, dictionaries and site
-// slices — treat them as read-only, exactly like the output of Build.
+// slices — treat them as read-only, exactly like the output of Build. The
+// shared row-index and Sites slices are handed out at full capacity, so
+// the first AppendSample on a rebased table copies them instead of writing
+// into an array its siblings read.
 type Builder struct {
 	net  *lte.Network
 	x2   *geo.Graph
@@ -39,6 +50,18 @@ type Builder struct {
 	pairOnce  sync.Once
 	pairCols  *columns
 	pairSites []Site
+
+	// rowsMu guards rowSets, the distinct configured-relation sets of the
+	// pair-wise tables labeled so far.
+	rowsMu  sync.Mutex
+	rowSets []pairRows
+}
+
+// pairRows is one configured-relation set of the pair base: the base rows
+// and their sites, both at full capacity.
+type pairRows struct {
+	idx   []int32
+	sites []Site
 }
 
 // NewBuilder prepares table assembly over the kept carriers of a network.
@@ -93,17 +116,29 @@ func (b *Builder) Labeled(cfg *lte.Config, pi int) *Table {
 	schema := cfg.Schema()
 	spec := schema.At(pi)
 	t := &Table{Param: pi, Spec: spec}
+	// Values sit on the parameter's grid, so a table holds few distinct
+	// ones: each is formatted once and its label shared by every row.
+	labels := make(map[uint64]string)
+	label := func(v float64) string {
+		k := math.Float64bits(v)
+		l, ok := labels[k]
+		if !ok {
+			l = spec.Format(v)
+			labels[k] = l
+		}
+		return l
+	}
 	if spec.Kind == paramspec.Singular {
 		cols, sites := b.singularBase()
 		t.ColNames = lte.AttributeNames()
 		t.base = cols
-		t.Sites = sites
+		t.Sites = sites[:len(sites):len(sites)]
 		t.Labels = make([]string, cols.n)
 		t.Values = make([]float64, cols.n)
 		for i, s := range sites {
 			v := cfg.Get(s.From, pi)
 			t.Values[i] = v
-			t.Labels[i] = spec.Format(v)
+			t.Labels[i] = label(v)
 		}
 		return t
 	}
@@ -113,19 +148,41 @@ func (b *Builder) Labeled(cfg *lte.Config, pi int) *Table {
 	// Only configured relations carry a sample; unconfigured ones are
 	// skipped exactly as Build does, so the shared base is filtered here
 	// through the row-index view.
-	t.rowIdx = make([]int32, 0, cols.n)
+	idx := make([]int32, 0, cols.n)
 	t.Labels = make([]string, 0, cols.n)
 	t.Values = make([]float64, 0, cols.n)
-	t.Sites = make([]Site, 0, cols.n)
 	for i, s := range sites {
 		v, ok := cfg.GetPair(s.From, s.To, pi)
 		if !ok {
 			continue
 		}
-		t.rowIdx = append(t.rowIdx, int32(i))
-		t.Labels = append(t.Labels, spec.Format(v))
+		idx = append(idx, int32(i))
+		t.Labels = append(t.Labels, label(v))
 		t.Values = append(t.Values, v)
-		t.Sites = append(t.Sites, s)
 	}
+	t.rowIdx, t.Sites = b.shareRows(idx, sites)
 	return t
+}
+
+// shareRows returns the row-index and Sites slices of the configured
+// relation set idx (base rows of the pair base, whose sites are sites):
+// those of an equal set labeled earlier, or idx and its gathered sites,
+// recorded for the tables that follow. Both come back at full capacity.
+func (b *Builder) shareRows(idx []int32, sites []Site) ([]int32, []Site) {
+	b.rowsMu.Lock()
+	defer b.rowsMu.Unlock()
+	for _, rs := range b.rowSets {
+		if slices.Equal(rs.idx, idx) {
+			return rs.idx, rs.sites
+		}
+	}
+	if len(idx) < cap(idx) {
+		idx = slices.Clone(idx)
+	}
+	rs := pairRows{idx: idx[:len(idx):len(idx)], sites: make([]Site, len(idx))}
+	for j, i := range idx {
+		rs.sites[j] = sites[i]
+	}
+	b.rowSets = append(b.rowSets, rs)
+	return rs.idx, rs.sites
 }

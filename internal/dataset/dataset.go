@@ -136,6 +136,29 @@ func (t *Table) Row(i int) []string {
 	return out
 }
 
+// RowSet identifies the base rows a table reads, in order. Equal RowSets
+// mean the same rows of the same columnar base: every identity view of one
+// base, and the pair-wise tables Builder.Labeled gave the same configured
+// relation set (they share one row-index slice). Structures derived from
+// the attribute codes of the rows alone, like cf's posting lists, can be
+// shared between tables with equal RowSets. The comparison is by identity,
+// so tables that hold equal rows in separate slices differ; and it holds
+// only while neither table is appended to.
+type RowSet struct {
+	base  *columns
+	first *int32 // &rowIdx[0]; nil for an identity view or no rows
+	n     int
+}
+
+// RowSet returns the identity of t's rows (see the RowSet type).
+func (t *Table) RowSet() RowSet {
+	rs := RowSet{base: t.base, n: t.Len()}
+	if len(t.rowIdx) > 0 {
+		rs.first = &t.rowIdx[0]
+	}
+	return rs
+}
+
 // Dict returns the dictionary of column c. Treat it as read-only.
 func (t *Table) Dict(c int) *Dict { return t.base.dicts[c] }
 

@@ -85,7 +85,9 @@ func (e *Extension) Rebase(t *Table) *Table {
 // order, keeping table row i == base row i; derived views record the base
 // row in their row mapping. Appends use copy-on-write slice growth: they
 // may write in place past the published lengths, which readers of earlier
-// generations never index.
+// generations never index. The row-index and Sites slices Builder.Labeled
+// shares between sibling tables come at full capacity, so a sibling's
+// first append copies them and never writes where another table reads.
 func (t *Table) AppendSample(baseRow int32, label string, value float64, site Site) {
 	if t.rowIdx != nil {
 		t.rowIdx = append(t.rowIdx, baseRow)

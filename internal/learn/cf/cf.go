@@ -26,10 +26,12 @@
 // Fit and Predict are allocation-lean: both draw their working storage
 // (count tables, gather buffers, key arenas, vote tallies) from
 // sync.Pool-backed scratch that is reused across the engine's 65-parameter
-// fan-out, and the exact-match index dedups its keys as substrings of one
-// durable string instead of allocating one key per row. Scratch never
-// escapes into fitted state, so models stay immutable and safe for any
-// number of concurrent readers.
+// fan-out. The exact-match index keeps one key per group of rows with
+// identical dependent codes, all substrings of one durable string, in a map
+// sized by the groups. Models fitted together through a Shared, as the
+// engine fits a market's 65 parameters, build each posting list once per
+// (row set, column) and share it. Scratch never escapes into fitted state,
+// so models stay immutable and safe for any number of concurrent readers.
 //
 // Fitted models are also incrementally updatable, which is the learner's
 // role in the live ingest path: a Model retains the dense per-column count
@@ -64,10 +66,13 @@
 package cf
 
 import (
+	"bytes"
+	"hash/maphash"
 	"math"
 	"slices"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 
 	"auric/internal/dataset"
@@ -86,6 +91,9 @@ func init() { learn.Register("collaborative-filtering", func() learn.Learner { r
 // full-key index. The counters live on the default registry next to the
 // CF latency histograms, letting operators alert on evidence erosion
 // (e.g. rising level-2+ share after an attribute taxonomy change).
+// Predict and PredictCodes count each prediction as it leaves the model; a
+// batch fan-out predicts through PredictCodesUncounted and publishes one
+// Levels tally per batch instead.
 var (
 	relaxationLevel = obs.Default().CounterVec(
 		"auric_cf_relaxation_level_total",
@@ -156,9 +164,10 @@ func (o Options) withDefaults() Options {
 }
 
 // fitScratch is the arena-style working storage of one Fit call: the
-// column gather buffer and the counting-sort cursors and key arena the
-// match structures are built through. (The chi-square count tables are NOT
-// scratch — they are retained on the Model for incremental Update.) Fits
+// column gather buffer, the counting-sort cursors, and the key arena and
+// hash slots the match structures are built through. (The chi-square
+// count tables are NOT scratch — they are retained on the Model for
+// incremental Update.) Fits
 // running on the engine's worker pool draw scratch from fitScratchPool and
 // return it when done, so the 65-parameter train fan-out reuses a handful
 // of arenas instead of allocating per column. Nothing in a fitScratch may
@@ -171,6 +180,8 @@ type fitScratch struct {
 	rows     []int32 // live row ids, ascending
 	rowGroup []int32 // exact-index group id per live row
 	groupN   []int32 // rows per exact-index group, then write cursors
+	first    []int32 // first live-row position of each exact-index group
+	slots    []int32 // open-addressing table of group ids, -1 when empty
 }
 
 var fitScratchPool = sync.Pool{New: func() any { return new(fitScratch) }}
@@ -202,7 +213,60 @@ func (l *Learner) Fit(t *dataset.Table) (learn.Model, error) {
 // and one sorted posting list per (dependent column, code) for the
 // relaxation ladder. Zero options take the paper's settings. Working
 // storage comes from a pooled fitScratch and is reused across calls.
-func Fit(t *dataset.Table, opts Options) (*Model, error) {
+func Fit(t *dataset.Table, opts Options) (*Model, error) { return fit(t, opts, nil) }
+
+// Shared holds the fitted state that models fitted over the same rows can
+// share: one posting list set per (dataset.RowSet, column). The first Fit
+// that needs a column's lists builds them and every later Fit over the same
+// row set reuses them, so a market's singular models share one set per
+// column, and so do its pair-wise models whenever their configured
+// relations coincide. A Shared is safe for concurrent Fits, as the engine's
+// train fan-out makes them; it is only needed while those models are
+// fitted. Update never writes a posting list it did not allocate, so a
+// shared list stays valid for every model holding it.
+type Shared struct {
+	mu   sync.Mutex
+	post map[postKey]*sharedPosting
+}
+
+type postKey struct {
+	rows dataset.RowSet
+	col  int
+}
+
+// sharedPosting is one column's posting lists over one row set, built once.
+type sharedPosting struct {
+	once sync.Once
+	p    [][]int32
+}
+
+// NewShared returns an empty Shared for one group of fits.
+func NewShared() *Shared { return &Shared{post: make(map[postKey]*sharedPosting)} }
+
+// Fit fits t exactly as the package-level Fit does, taking the posting
+// lists of t's row set from s.
+func (s *Shared) Fit(t *dataset.Table, opts Options) (*Model, error) { return fit(t, opts, s) }
+
+// posting returns the posting lists of column d over m's rows: built by m
+// with sc when s is nil, else taken from s and built at most once. Only a
+// fresh fit may ask s, since the lists cover every row of the table.
+func (s *Shared) posting(m *Model, sc *fitScratch, d int) [][]int32 {
+	if s == nil {
+		return m.buildPosting(sc, d)
+	}
+	k := postKey{m.t.RowSet(), d}
+	s.mu.Lock()
+	e := s.post[k]
+	if e == nil {
+		e = new(sharedPosting)
+		s.post[k] = e
+	}
+	s.mu.Unlock()
+	e.once.Do(func() { e.p = m.buildPosting(sc, d) })
+	return e.p
+}
+
+func fit(t *dataset.Table, opts Options, sh *Shared) (*Model, error) {
 	if t.Len() == 0 {
 		return nil, learn.ErrEmptyTable
 	}
@@ -254,7 +318,7 @@ func Fit(t *dataset.Table, opts Options) (*Model, error) {
 
 	m.post = make([][][]int32, ncols)
 	for _, d := range m.deps {
-		m.post[d] = m.buildPosting(sc, d)
+		m.post[d] = sh.posting(m, sc, d)
 	}
 	m.buildIndex(sc)
 	m.setGlobal()
@@ -410,13 +474,20 @@ func (m *Model) buildPosting(sc *fitScratch, d int) [][]int32 {
 	return p
 }
 
+// indexSeed seeds the scratch hash table buildIndex groups rows through.
+// Group ids follow first appearance in row order whatever the seed, so the
+// fitted index does not depend on it.
+var indexSeed = maphash.MakeSeed()
+
 // buildIndex assembles the exact-match index over the live rows, keyed by
 // their codes on keyCols (the dependent columns in column order, so the
 // key does not depend on the ladder's association order). Every live
-// row's fixed-width key is laid out in one arena and converted to a single
-// durable string; the dedup map keys are substrings of it, so the whole
-// index costs one string allocation plus the map — not one key string per
-// row.
+// row's fixed-width key is laid out in a scratch arena and grouped through
+// a scratch open-addressing table, group ids in order of first appearance.
+// Only the groups' keys are kept: back to back in one durable string whose
+// substrings key a map sized by the group count. A group is one distinct
+// combination of dependent codes, and rows outnumber groups roughly 16 to
+// one on the perfbench world, so the index's keys and map cost O(groups).
 func (m *Model) buildIndex(sc *fitScratch) {
 	t := m.t
 	rows := sc.rows[:0]
@@ -441,26 +512,57 @@ func (m *Model) buildIndex(sc *fitScratch) {
 			b[0], b[1], b[2], b[3] = byte(c), byte(c>>8), byte(c>>16), byte(c>>24)
 		}
 	}
-	s := string(keys)
-	m.index = make(map[string]int32, n)
-	m.indexAdd = nil
 	if cap(sc.rowGroup) < n {
 		sc.rowGroup = make([]int32, n)
 	}
 	rowGroup := sc.rowGroup[:n] // exact-index group per entry of rows
 	groupN := sc.groupN[:0]
+	first := sc.first[:0]
+	size := 1
+	for size < 2*n {
+		size <<= 1
+	}
+	if cap(sc.slots) < size {
+		sc.slots = make([]int32, size)
+	}
+	slots := sc.slots[:size]
+	for i := range slots {
+		slots[i] = -1
+	}
+	mask := uint64(size - 1)
 	for k := 0; k < n; k++ {
-		key := s[k*stride : (k+1)*stride]
-		g, ok := m.index[key]
-		if !ok {
+		key := keys[k*stride : (k+1)*stride]
+		h := maphash.Bytes(indexSeed, key) & mask
+		g := slots[h]
+		for g >= 0 {
+			f := int(first[g]) * stride
+			if bytes.Equal(keys[f:f+stride], key) {
+				break
+			}
+			h = (h + 1) & mask
+			g = slots[h]
+		}
+		if g < 0 {
 			g = int32(len(groupN))
-			m.index[key] = g
+			slots[h] = g
 			groupN = append(groupN, 0)
+			first = append(first, int32(k))
 		}
 		rowGroup[k] = g
 		groupN[g]++
 	}
 	groups := len(groupN)
+	var kb strings.Builder
+	kb.Grow(groups * stride)
+	for _, k := range first {
+		kb.Write(keys[int(k)*stride : (int(k)+1)*stride])
+	}
+	s := kb.String()
+	m.index = make(map[string]int32, groups)
+	m.indexAdd = nil
+	for g := 0; g < groups; g++ {
+		m.index[s[g*stride:(g+1)*stride]] = int32(g)
+	}
 	idxOff := make([]int32, groups+1)
 	for g := 0; g < groups; g++ {
 		idxOff[g+1] = idxOff[g] + groupN[g]
@@ -472,7 +574,7 @@ func (m *Model) buildIndex(sc *fitScratch) {
 		idxRows[groupN[g]] = i
 		groupN[g]++
 	}
-	sc.groupN = groupN[:0]
+	sc.groupN, sc.first = groupN[:0], first[:0]
 	// Publish per-group row lists (full-capacity views into the arena, so
 	// no group can grow into its neighbor). Update patches groups
 	// individually by swapping list headers, leaving the arena shared.
@@ -582,16 +684,21 @@ type Model struct {
 
 	// index maps a row's codes on keyCols to a group id;
 	// idxLists[g] lists group g's live rows ascending — the drop-0 fast
-	// path. Keys are substrings of one shared string; indexAdd overlays
-	// keys first seen by Update (checked only when non-nil, so the fit-only
-	// hot path stays a single lookup).
+	// path. index holds one key per group (at fit, len(index) ==
+	// len(idxLists)), each a substring of one string holding the groups'
+	// keys back to back. indexAdd overlays keys first seen by Update
+	// (checked only when non-nil, so the fit-only hot path stays a single
+	// lookup).
 	index    map[string]int32
 	indexAdd map[string]int32
 	idxLists [][]int32
 	// post[c][code] lists the live rows whose column c holds code,
 	// ascending; populated for dependent columns only, sub-sliced from one
-	// arena per column at fit and patched per-list by Update. Relaxed
-	// ladder levels intersect these lists smallest-first.
+	// arena per column at fit and patched per-list by Update. A fit through
+	// a Shared may hand the same lists to every model over the same rows,
+	// so post's lists are never written: Update replaces a touched list
+	// with a new one. Relaxed ladder levels intersect these lists
+	// smallest-first.
 	post [][][]int32
 
 	// valueShare[col][code] is the code's population share;
@@ -750,7 +857,9 @@ func (m *Model) AppendEncodeRow(dst []int32, row []string) []int32 {
 func (m *Model) Predict(row []string) learn.Prediction {
 	ps := predictScratchPool.Get().(*predictScratch)
 	defer putPredictScratch(ps)
-	return m.predict(ps, row, m.encode(ps, row), nil)
+	p := m.predict(ps, row, m.encode(ps, row), nil)
+	countLevel(p.Diag.Level)
+	return p
 }
 
 // PredictCodes implements learn.CodesModel and is the model's one voting
@@ -766,9 +875,68 @@ func (m *Model) Predict(row []string) learn.Prediction {
 // exist, and never substitutes a vaguer local pool for more specific
 // global evidence.
 func (m *Model) PredictCodes(codes []int32, row []string, sc *learn.Scope) learn.Prediction {
+	p := m.PredictCodesUncounted(codes, row, sc)
+	countLevel(p.Diag.Level)
+	return p
+}
+
+// PredictCodesUncounted is PredictCodes without the auric_cf_* counter
+// adds. A caller making many predictions adds each one's Diag.Level to a
+// Levels tally and publishes it once, so the counters reach the same
+// values with one add per level instead of two per prediction.
+func (m *Model) PredictCodesUncounted(codes []int32, row []string, sc *learn.Scope) learn.Prediction {
 	ps := predictScratchPool.Get().(*predictScratch)
 	defer putPredictScratch(ps)
 	return m.predict(ps, row, codes, sc)
+}
+
+// countLevel counts one prediction that settled at ladder level lvl (-1 for
+// the fallback) on the relaxation counters.
+func countLevel(lvl int) {
+	var l Levels
+	l.Add(lvl)
+	l.Publish()
+}
+
+// Levels tallies the ladder levels of predictions made through
+// PredictCodesUncounted. The zero value is empty; a Levels is not safe for
+// concurrent use.
+type Levels struct {
+	n    [len(relaxLevelFast) + 1]uint64 // n[0]: fallbacks; n[l+1]: level l
+	deep map[int]uint64                  // levels beyond relaxLevelFast
+}
+
+// Add counts one prediction that settled at ladder level lvl (Diag.Level).
+func (l *Levels) Add(lvl int) {
+	switch {
+	case lvl < len(relaxLevelFast):
+		l.n[max(lvl, -1)+1]++
+	default:
+		if l.deep == nil {
+			l.deep = make(map[int]uint64)
+		}
+		l.deep[lvl]++
+	}
+}
+
+// Publish adds the tally to the relaxation counters, as many calls of
+// PredictCodes would have, and empties it.
+func (l *Levels) Publish() {
+	if n := l.n[0]; n > 0 {
+		relaxFallback.Add(n)
+	}
+	if n := l.n[1]; n > 0 {
+		exactIndexHits.Add(n)
+	}
+	for lvl, c := range relaxLevelFast {
+		if n := l.n[lvl+1]; n > 0 {
+			c.Add(n)
+		}
+	}
+	for lvl, n := range l.deep {
+		relaxationLevel.With(strconv.Itoa(lvl)).Add(n)
+	}
+	*l = Levels{}
 }
 
 // ScopeFrom implements learn.SiteScoper through learn.NewScope: a scope
@@ -806,9 +974,9 @@ func (m *Model) predict(ps *predictScratch, row []string, codes []int32, sc *lea
 
 // finish completes the one prediction that actually leaves the model:
 // it renders the explanation (deferred out of vote so discarded ladder
-// levels never pay for string formatting), names the relaxed-away
-// dependent attributes (weakest first, the order the ladder dropped them)
-// and counts the settled relaxation level. Each string is rendered into
+// levels never pay for string formatting) and names the relaxed-away
+// dependent attributes (weakest first, the order the ladder dropped them).
+// The caller counts the settled level. Each string is rendered into
 // the pooled buffer and copied out once, so it costs one allocation of
 // exactly its length.
 func (m *Model) finish(ps *predictScratch, p learn.Prediction, row []string, qdeps []int) learn.Prediction {
@@ -836,17 +1004,6 @@ func (m *Model) finish(ps *predictScratch, p learn.Prediction, row []string, qde
 		}
 		p.Diag.Dropped = string(b)
 		ps.buf = b
-	}
-	if p.Diag.ExactIndex {
-		exactIndexHits.Inc()
-	}
-	switch {
-	case lvl >= 0 && lvl < len(relaxLevelFast):
-		relaxLevelFast[lvl].Inc()
-	case lvl >= 0:
-		relaxationLevel.With(strconv.Itoa(lvl)).Inc()
-	default:
-		relaxFallback.Inc()
 	}
 	return p
 }

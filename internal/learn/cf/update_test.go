@@ -448,6 +448,7 @@ func TestUpdateSetShift(t *testing.T) {
 	if !slices.Equal(m.deps, []int{0, 2}) {
 		t.Fatalf("fitted deps = %v, want [0 2]", m.deps)
 	}
+	assertOneKeyPerGroup(t, m)
 	var removed []dataset.Site
 	for id := 4; id < 12; id++ {
 		removed = append(removed, dataset.Site{From: lte.CarrierID(id), To: -1})
@@ -472,6 +473,7 @@ func TestUpdateSetShift(t *testing.T) {
 	if m2.Table() != t2 {
 		t.Fatal("Update returned a model over a table other than the one it was given")
 	}
+	assertOneKeyPerGroup(t, m2)
 	assertPredictionEquivalence(t, m2, refitReference(t, m2), binaryQueries(3), liveIDs(m2))
 }
 

@@ -283,6 +283,20 @@ func (s *Span) TraceParent() string {
 	return string(b[:])
 }
 
+// Reserve makes room in s's trace for n more spans, so a fan-out that
+// knows how many spans it will record (RecordChildren, Finish) grows the
+// trace's span list once instead of as each one lands. It is a no-op on a
+// nil span or an unsampled trace.
+func (s *Span) Reserve(n int) {
+	if s == nil || !s.st.sampled || n <= 0 {
+		return
+	}
+	st := s.st
+	st.mu.Lock()
+	st.spans = slices.Grow(st.spans, n)
+	st.mu.Unlock()
+}
+
 // Child is one already-finished child span handed to RecordChildren: its
 // start, its duration and the number of RecordChildren's attributes, taken
 // in order, that are its own.

@@ -435,3 +435,38 @@ func TestRecordChildrenMatchesStart(t *testing.T) {
 		t.Errorf("unsampled trace committed %d traces", n)
 	}
 }
+
+// TestReserveGrowsOnce pins Span.Reserve: after reserving room for a
+// batch's spans, recording them never regrows the trace's span list, and
+// Reserve is a no-op on nil and unsampled spans.
+func TestReserveGrowsOnce(t *testing.T) {
+	tr := New(Options{SampleRate: 1})
+	_, root := tr.StartRoot(context.Background(), "batch")
+	const items, jobs = 4, 10
+	root.Reserve(items * (jobs + 1))
+	c := cap(root.st.spans)
+	if c < items*(jobs+1) {
+		t.Fatalf("Reserve(%d) left capacity %d", items*(jobs+1), c)
+	}
+	ctx := context.WithValue(context.Background(), ctxKey{}, root)
+	for i := 0; i < items; i++ {
+		_, sp := Start(ctx, "item")
+		sp.RecordChildren("job", make([]Child, jobs), nil)
+		sp.Finish()
+	}
+	if got := len(root.st.spans); got != items*(jobs+1) {
+		t.Fatalf("recorded %d spans, want %d", got, items*(jobs+1))
+	}
+	if cap(root.st.spans) != c {
+		t.Errorf("span list regrew from %d to %d after Reserve", c, cap(root.st.spans))
+	}
+
+	var nilSpan *Span
+	nilSpan.Reserve(8)
+	unsampled := New(Options{SampleRate: 0})
+	_, u := unsampled.StartRoot(context.Background(), "u")
+	u.Reserve(8)
+	if u.st.spans != nil {
+		t.Error("Reserve grew an unsampled trace's span list")
+	}
+}

@@ -25,12 +25,14 @@
 // percentage check. -max-regress 0 is report-only.
 //
 // -max-alloc-regress applies the same large-and-resolvable rule to
-// allocs/op (MAX_ALLOC_REGRESS in `make check`); a gated metric whose
-// baseline is zero fails as soon as the new interval lies above zero. Allocation counts are
-// nearly deterministic — their spread is usually zero — so this gate can
-// sit much tighter than the timing one: it exists to catch a hot-path
-// change that quietly reintroduces per-request garbage even when ns/op
-// noise would hide it.
+// allocs/op and to retained-KB/carrier, the heap a loaded engine keeps per
+// carrier (MAX_ALLOC_REGRESS in `make check`); a gated metric whose
+// baseline is zero fails as soon as the new interval lies above zero.
+// Allocation counts and retained heap are nearly deterministic — their
+// spread is usually zero — so this gate can sit much tighter than the
+// timing one: it exists to catch a hot-path change that quietly
+// reintroduces per-request garbage, or a fitted structure that grows back,
+// even when ns/op noise would hide it.
 package main
 
 import (
@@ -63,7 +65,7 @@ func main() {
 	maxRegress := flag.Float64("max-regress", 0,
 		"fail when any ns/op regression exceeds this percentage with non-overlapping spreads (0 = report only)")
 	maxAllocRegress := flag.Float64("max-alloc-regress", 0,
-		"fail when any allocs/op regression exceeds this percentage with non-overlapping spreads (0 = report only)")
+		"fail when any allocs/op or retained-KB/carrier regression exceeds this percentage with non-overlapping spreads (0 = report only)")
 	flag.Parse()
 	if flag.NArg() != 2 {
 		fmt.Fprintln(os.Stderr, "usage: benchcompare [-max-regress PCT] [-max-alloc-regress PCT] old.json new.json")
@@ -80,27 +82,27 @@ func main() {
 	fmt.Printf("benchcompare: %s (benchtime=%s) -> %s (benchtime=%s)\n",
 		flag.Arg(0), oldF.Benchtime, flag.Arg(1), newF.Benchtime)
 	if compare(os.Stdout, oldF, newF, *maxRegress, *maxAllocRegress) {
-		fmt.Fprintf(os.Stderr, "benchcompare: cost-metric regression above the gate (ns/op %.1f%%, allocs/op %.1f%%) with non-overlapping spreads\n",
+		fmt.Fprintf(os.Stderr, "benchcompare: cost-metric regression above the gate (ns/op %.1f%%, allocs/op and retained-KB/carrier %.1f%%) with non-overlapping spreads\n",
 			*maxRegress, *maxAllocRegress)
 		os.Exit(1)
 	}
 }
 
 // gateFor maps a metric to its regression threshold; metrics without a
-// gate (B/op, custom metrics) are report-only.
+// gate (B/op, other custom metrics) are report-only.
 func gateFor(metric string, maxRegress, maxAllocRegress float64) float64 {
 	switch metric {
 	case "ns/op":
 		return maxRegress
-	case "allocs/op":
+	case "allocs/op", "retained-KB/carrier":
 		return maxAllocRegress
 	}
 	return 0
 }
 
 // compare writes the per-benchmark report to w and reports whether any
-// gated metric (ns/op vs maxRegress, allocs/op vs maxAllocRegress) trips
-// its regression gate.
+// gated metric (ns/op vs maxRegress, allocs/op and retained-KB/carrier vs
+// maxAllocRegress) trips its regression gate.
 func compare(w io.Writer, oldF, newF *benchFile, maxRegress, maxAllocRegress float64) bool {
 	oldBy, oldOrder := aggregate(oldF)
 	newBy, order := aggregate(newF)

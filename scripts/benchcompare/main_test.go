@@ -167,3 +167,32 @@ func TestCompareReportsGoneBenchmarks(t *testing.T) {
 		t.Errorf("gone lines = %q, want one for BenchmarkGone-1:\n%s", gone, out.String())
 	}
 }
+
+// TestRetainedHeapGated pins the retained-heap gate: retained-KB/carrier is
+// a lower-is-better cost metric gated at the alloc threshold, so a clean
+// rise fails with ns/op and allocs/op flat, a fall passes, and a disarmed
+// alloc gate only reports it.
+func TestRetainedHeapGated(t *testing.T) {
+	run := func(kb float64) map[string]any {
+		return map[string]any{"name": "BenchmarkLoadWorld-1", "iterations": float64(1),
+			"ns/op": float64(1e9), "allocs/op": float64(7e5), "retained-KB/carrier": kb}
+	}
+	oldF := bf(run(19.5), run(19.6))
+	newF := bf(run(30.1), run(30.0)) // +54%
+
+	var out strings.Builder
+	if failed := compare(&out, oldF, newF, 60, 30); !failed {
+		t.Fatalf("compare did not fail on a +54%% retained-heap regression:\n%s", out.String())
+	}
+	if !strings.Contains(out.String(), "retained-KB/carrier") || !strings.Contains(out.String(), "REGRESSION") {
+		t.Errorf("report lacks a retained-KB/carrier REGRESSION marker:\n%s", out.String())
+	}
+	out.Reset()
+	if failed := compare(&out, newF, oldF, 60, 30); failed {
+		t.Fatalf("a retained-heap improvement failed the gate:\n%s", out.String())
+	}
+	out.Reset()
+	if failed := compare(&out, oldF, newF, 60, 0); failed {
+		t.Fatalf("disarmed alloc gate still failed on retained heap:\n%s", out.String())
+	}
+}
