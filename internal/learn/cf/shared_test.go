@@ -2,6 +2,7 @@ package cf
 
 import (
 	"reflect"
+	"sync"
 	"testing"
 
 	"auric/internal/dataset"
@@ -32,7 +33,8 @@ func clonePost(post [][][]int32) [][][]int32 {
 	return out
 }
 
-// TestSharedPostings fits every parameter of a market through one Shared
+// TestSharedPostings fits every parameter of a market through one Shared,
+// all at once from separate goroutines as the engine's train fan-out does,
 // and alone. Models over the same rows must hold the same posting lists
 // (one build, shared by reference) and the shared models must keep exactly
 // the fitted state of the lone fits. Updating one model must leave every
@@ -41,13 +43,22 @@ func TestSharedPostings(t *testing.T) {
 	w := netsim.Generate(netsim.Options{Seed: 5, Markets: 1, ENodeBsPerMarket: 10})
 	b := dataset.NewBuilder(w.Net, w.X2, nil)
 	sh := NewShared()
-	var models []*Model
-	for pi := 0; pi < w.Schema.Len(); pi++ {
-		tb := b.Labeled(w.Current, pi)
-		ms, err := sh.Fit(tb, Options{})
-		if err != nil {
-			t.Fatal(err)
+	models := make([]*Model, w.Schema.Len())
+	errs := make([]error, len(models))
+	var wg sync.WaitGroup
+	for pi := range models {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			models[pi], errs[pi] = sh.Fit(b.Labeled(w.Current, pi), Options{})
+		}()
+	}
+	wg.Wait()
+	for pi, ms := range models {
+		if errs[pi] != nil {
+			t.Fatal(errs[pi])
 		}
+		tb := ms.t
 		ma, err := Fit(tb, Options{})
 		if err != nil {
 			t.Fatal(err)
@@ -63,7 +74,6 @@ func TestSharedPostings(t *testing.T) {
 				t.Fatalf("%s row %d: shared fit predicts %+v, lone fit %+v", w.Schema.At(pi).Name, k, g, want)
 			}
 		}
-		models = append(models, ms)
 	}
 
 	// Find two models over the same rows with a dependent column in common.
