@@ -101,57 +101,69 @@ func TestBuilderPairWiseRequiresX2(t *testing.T) {
 	b.Labeled(w.Current, pairPi)
 }
 
-// TestSharedRowsCopyOnAppend pins the sharing hazard of Labeled's row
-// sets: two pair-wise tables with the same configured relations share one
-// row-index slice and one Sites slice, and after both are rebased onto an
-// extended base, appending different samples to each must leave the other
-// (and the tables they were rebased from) exactly as they were.
+// TestSharedRowsCopyOnAppend pins the sharing hazard of Labeled's rows:
+// two pair-wise tables with the same configured relations share one
+// row-index slice and one Sites slice, and two singular tables share the
+// base's Sites. After both tables of a kind are rebased onto an extended
+// base, appending a different sample to each must leave the other (and
+// the tables they were rebased from) exactly as they were.
 func TestSharedRowsCopyOnAppend(t *testing.T) {
 	w := world()
-	pair := w.Schema.PairWise()
-	if len(pair) < 2 {
-		t.Skip("schema has fewer than two pair-wise parameters")
+	pair, sing := w.Schema.PairWise(), w.Schema.Singular()
+	if len(pair) < 2 || len(sing) < 2 {
+		t.Skip("schema has fewer than two parameters of a kind")
 	}
 	b := NewBuilder(w.Net, w.X2, MarketFilter(w.Net, 0))
-	t1, t2 := b.Labeled(w.Current, pair[0]), b.Labeled(w.Current, pair[1])
-	if t1.RowSet() != t2.RowSet() || &t1.Sites[0] != &t2.Sites[0] {
-		t.Fatal("pair-wise tables with the same configured relations do not share their rows")
-	}
-	n := t1.Len()
-	sites := slices.Clone(t2.Sites)
-	codes := make([][]int32, t2.NumCols())
-	for c := range codes {
-		codes[c] = slices.Clone(t2.ColumnCodes(c))
-	}
-
-	ext := ExtendBase(t1, [][]string{t1.Row(0), t1.Row(1)})
-	r1, r2 := ext.Rebase(t1), ext.Rebase(t2)
-	s1 := Site{From: 9001, To: 9002}
-	s2 := Site{From: 9003, To: 9004}
-	r1.AppendSample(ext.FirstRow(), "a", 1, s1)
-	if r2.Len() != n || !slices.Equal(r2.Sites, sites) {
-		t.Fatalf("appending to one table changed its sibling: len %d, want %d", r2.Len(), n)
-	}
-	r2.AppendSample(ext.FirstRow()+1, "b", 2, s2)
-	if r1.Len() != n+1 || r1.Sites[n] != s1 || r1.Code(n, 0) != ext.neu.codes[0][ext.FirstRow()] {
-		t.Fatalf("sibling's append overwrote the first table's new sample: %+v", r1.Sites[n])
-	}
-	if r2.Len() != n+1 || r2.Sites[n] != s2 || r2.Code(n, 0) != ext.neu.codes[0][ext.FirstRow()+1] {
-		t.Fatalf("second table's new sample is %+v, want %+v", r2.Sites[n], s2)
-	}
-	for _, tb := range []*Table{t1, t2} {
-		if tb.Len() != n || !slices.Equal(tb.Sites, sites) {
-			t.Fatal("an append reached the table it was rebased from")
+	for _, pis := range [][]int{pair, sing} {
+		t1, t2 := b.Labeled(w.Current, pis[0]), b.Labeled(w.Current, pis[1])
+		if t1.RowSet() != t2.RowSet() || &t1.Sites[0] != &t2.Sites[0] {
+			t.Fatal("tables with the same rows do not share them")
 		}
+		n := t1.Len()
+		sites := slices.Clone(t2.Sites)
+		codes := make([][]int32, t2.NumCols())
 		for c := range codes {
-			if !slices.Equal(tb.ColumnCodes(c), codes[c]) {
-				t.Fatalf("column %d codes changed under an append", c)
+			codes[c] = slices.Clone(t2.ColumnCodes(c))
+		}
+
+		// An identity (singular) table reads every base row, so both take
+		// the one appended row; pair-wise tables take different ones. A
+		// table's samples are its Sites (an identity view's Len follows
+		// the base).
+		rows := [][]string{t1.Row(0), t1.Row(1)}
+		if t1.rowIdx == nil {
+			rows = rows[:1]
+		}
+		ext := ExtendBase(t1, rows)
+		row1, row2 := ext.FirstRow(), ext.FirstRow()+int32(len(rows)-1)
+		r1, r2 := ext.Rebase(t1), ext.Rebase(t2)
+		s1 := Site{From: 9001, To: 9002}
+		s2 := Site{From: 9003, To: 9004}
+		r1.AppendSample(row1, "a", 1, s1)
+		if !slices.Equal(r2.Sites, sites) {
+			t.Fatalf("appending to one table changed its sibling: %d samples, want %d", len(r2.Sites), n)
+		}
+		r2.AppendSample(row2, "b", 2, s2)
+		if r1.Len() != n+1 || len(r1.Sites) != n+1 || r1.Sites[n] != s1 || r1.Code(n, 0) != ext.neu.codes[0][row1] {
+			t.Fatalf("sibling's append overwrote the first table's new sample: %+v", r1.Sites[n])
+		}
+		if r2.Len() != n+1 || len(r2.Sites) != n+1 || r2.Sites[n] != s2 || r2.Code(n, 0) != ext.neu.codes[0][row2] {
+			t.Fatalf("second table's new sample is %+v, want %+v", r2.Sites[n], s2)
+		}
+		for _, tb := range []*Table{t1, t2} {
+			if tb.Len() != n || !slices.Equal(tb.Sites, sites) {
+				t.Fatal("an append reached the table it was rebased from")
+			}
+			for c := range codes {
+				if !slices.Equal(tb.ColumnCodes(c), codes[c]) {
+					t.Fatalf("column %d codes changed under an append", c)
+				}
 			}
 		}
-	}
-	for c := range codes {
-		if got := r2.ColumnCodes(c)[:n]; !slices.Equal(got, codes[c]) {
-			t.Fatalf("column %d: rebased sibling's codes changed", c)
+		for c := range codes {
+			if got := r2.ColumnCodes(c)[:n]; !slices.Equal(got, codes[c]) {
+				t.Fatalf("column %d: rebased sibling's codes changed", c)
+			}
 		}
 	}
 }
