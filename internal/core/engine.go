@@ -517,10 +517,10 @@ func (e *Engine) recordParamSpans(sc *recScratch, st *itemState, out []Recommend
 
 // recommendOne predicts parameter pi through its model m from the batch's
 // shared query codes, voting within sc when the engine is Local. The
-// prediction is not counted on the cf relaxation counters: the caller
-// tallies RelaxationLevel, which the result carries even with an error.
+// caller tallies RelaxationLevel for the cf relaxation counters; the
+// result carries it even with an error.
 func (e *Engine) recommendOne(m *cf.Model, pi int, attrs []string, codes []int32, neighbor lte.CarrierID, sc *learn.Scope) (Recommendation, error) {
-	p := m.PredictCodesUncounted(codes, attrs, sc)
+	p := m.PredictCodes(codes, attrs, sc)
 	spec := e.schema.At(pi)
 	v, err := parseLabel(spec, p.Label)
 	if err != nil {

@@ -115,30 +115,31 @@ func (b *Builder) Labeled(cfg *lte.Config, pi int) *Table {
 	defer obs.Since(labelSeconds, time.Now())
 	schema := cfg.Schema()
 	spec := schema.At(pi)
-	t := &Table{Param: pi, Spec: spec}
+	t := &Table{Param: pi, Spec: spec, LabelDict: NewDict()}
 	// Values sit on the parameter's grid, so a table holds few distinct
-	// ones: each is formatted once and its label shared by every row.
-	labels := make(map[uint64]string)
-	label := func(v float64) string {
+	// ones: each is formatted and interned once and its code shared by
+	// every row.
+	codes := make(map[uint64]int32)
+	label := func(v float64) int32 {
 		k := math.Float64bits(v)
-		l, ok := labels[k]
+		c, ok := codes[k]
 		if !ok {
-			l = spec.Format(v)
-			labels[k] = l
+			c = t.LabelDict.Intern(spec.Format(v))
+			codes[k] = c
 		}
-		return l
+		return c
 	}
 	if spec.Kind == paramspec.Singular {
 		cols, sites := b.singularBase()
 		t.ColNames = lte.AttributeNames()
 		t.base = cols
 		t.Sites = sites[:len(sites):len(sites)]
-		t.Labels = make([]string, cols.n)
+		t.LabelCodes = make([]int32, cols.n)
 		t.Values = make([]float64, cols.n)
 		for i, s := range sites {
 			v := cfg.Get(s.From, pi)
 			t.Values[i] = v
-			t.Labels[i] = label(v)
+			t.LabelCodes[i] = label(v)
 		}
 		return t
 	}
@@ -149,7 +150,7 @@ func (b *Builder) Labeled(cfg *lte.Config, pi int) *Table {
 	// skipped exactly as Build does, so the shared base is filtered here
 	// through the row-index view.
 	idx := make([]int32, 0, cols.n)
-	t.Labels = make([]string, 0, cols.n)
+	t.LabelCodes = make([]int32, 0, cols.n)
 	t.Values = make([]float64, 0, cols.n)
 	for i, s := range sites {
 		v, ok := cfg.GetPair(s.From, s.To, pi)
@@ -157,7 +158,7 @@ func (b *Builder) Labeled(cfg *lte.Config, pi int) *Table {
 			continue
 		}
 		idx = append(idx, int32(i))
-		t.Labels = append(t.Labels, label(v))
+		t.LabelCodes = append(t.LabelCodes, label(v))
 		t.Values = append(t.Values, v)
 	}
 	t.rowIdx, t.Sites = b.shareRows(idx, sites)

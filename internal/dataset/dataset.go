@@ -15,13 +15,19 @@
 // operations over dense arrays — while Row/At recover the string view for
 // explanations and baselines.
 //
+// The label column Y is interned the same way, but per table: each table's
+// LabelDict holds exactly its own labels, coded in first-seen row order,
+// so learners tally votes and class counts over LabelCodes without
+// re-interning strings, and Label recovers the string.
+//
 // The shared base is also how live ingest stays cheap: ExtendBase grows a
 // published base copy-on-write (new rows appended past the published
 // length, dictionaries cloned only for columns that saw a new value), and
 // Extension.Rebase moves every table derived from the old base onto the
-// grown one without copying its rows — the data-layer half of the
-// incremental-fit path, where cf.Model.Update patches models over the
-// rebased tables while readers of the previous generation keep serving.
+// grown one without copying its rows or its label dictionary — the
+// data-layer half of the incremental-fit path, where cf.Model.Update
+// patches models over the rebased tables while readers of the previous
+// generation keep serving.
 package dataset
 
 import (
@@ -67,8 +73,8 @@ func (c *columns) appendRow(row []string) {
 
 // Table is the learning table of one configuration parameter. Attribute
 // rows live in an interned columnar base reached through the code and
-// string accessors; Labels, Values and Sites are per-sample slices aligned
-// with table row order.
+// string accessors; LabelCodes, Values and Sites are per-sample slices
+// aligned with table row order.
 type Table struct {
 	// Param is the schema index of the parameter.
 	Param int
@@ -76,9 +82,14 @@ type Table struct {
 	Spec paramspec.Param
 	// ColNames names the predictor columns.
 	ColNames []string
-	// Labels holds the canonical categorical value label per sample
-	// (paramspec.Param.Format of the value).
-	Labels []string
+	// LabelCodes holds each sample's canonical categorical value label
+	// (paramspec.Param.Format of the value) as a code into LabelDict.
+	LabelCodes []int32
+	// LabelDict interns the table's labels: exactly the labels its samples
+	// hold, coded in first-seen row order, so learners can tally votes and
+	// class counts by code. Treat it as read-only; a rebased table shares
+	// its source's dictionary until AppendSample adds a new label.
+	LabelDict *Dict
 	// Values holds the numeric value per sample.
 	Values []float64
 	// Sites locates each sample in the network.
@@ -93,6 +104,9 @@ type Table struct {
 	// mutable marks a hand-assembled table whose base AppendRow may still
 	// grow; tables from Builder or Subset share their base and are not.
 	mutable bool
+	// sharedLabels marks a LabelDict borrowed from the table this one was
+	// rebased from; AppendSample clones it before interning a new label.
+	sharedLabels bool
 }
 
 // Len reports the number of samples.
@@ -105,6 +119,9 @@ func (t *Table) Len() int {
 	}
 	return 0
 }
+
+// Label returns the value label of sample i.
+func (t *Table) Label(i int) string { return t.LabelDict.String(t.LabelCodes[i]) }
 
 // NumCols reports the number of predictor columns.
 func (t *Table) NumCols() int { return len(t.ColNames) }
@@ -205,23 +222,25 @@ func (t *Table) ColumnCodesScratch(buf []int32, c int) []int32 {
 	return buf
 }
 
-// AppendRow interns one attribute row into a hand-assembled table (test
-// fixtures, ad-hoc baselines). It panics on tables that share a Builder
+// AppendRow appends one sample to a hand-assembled table (test fixtures,
+// ad-hoc baselines): it interns the attribute row and the label and
+// appends the value and site. It panics on tables that share a Builder
 // base or were derived by Subset — those are immutable by contract — and
-// on a row width that does not match ColNames. Labels, Values and Sites
-// are appended directly by the caller.
-func (t *Table) AppendRow(row []string) {
+// on a row width that does not match ColNames.
+func (t *Table) AppendRow(row []string, label string, value float64, site Site) {
 	if len(row) != len(t.ColNames) {
 		panic(fmt.Sprintf("dataset: AppendRow width %d, want %d", len(row), len(t.ColNames)))
 	}
 	if t.base == nil {
 		t.base = newColumns(len(t.ColNames))
 		t.mutable = true
+		t.LabelDict = NewDict()
 	}
 	if !t.mutable || t.rowIdx != nil {
 		panic("dataset: AppendRow on a shared or derived table")
 	}
 	t.base.appendRow(row)
+	t.appendSample(label, value, site)
 }
 
 // Filter selects the carriers included in a table build; nil includes all.
@@ -246,16 +265,17 @@ func Build(net *lte.Network, x2 *geo.Graph, cfg *lte.Config, pi int, keep Filter
 }
 
 // Subset returns a new table containing the rows at the given indices
-// (shared columnar base, fresh per-sample slices).
+// (shared columnar base, fresh per-sample slices). Its labels are coded
+// afresh in the subset's own first-seen order.
 func (t *Table) Subset(idx []int) *Table {
-	out := &Table{Param: t.Param, Spec: t.Spec, ColNames: t.ColNames, base: t.base}
+	out := &Table{Param: t.Param, Spec: t.Spec, ColNames: t.ColNames, base: t.base, LabelDict: NewDict()}
 	out.rowIdx = make([]int32, len(idx))
-	out.Labels = make([]string, len(idx))
+	out.LabelCodes = make([]int32, len(idx))
 	out.Values = make([]float64, len(idx))
 	out.Sites = make([]Site, len(idx))
 	for j, i := range idx {
 		out.rowIdx[j] = t.baseRow(i)
-		out.Labels[j] = t.Labels[i]
+		out.LabelCodes[j] = out.LabelDict.Intern(t.Label(i))
 		out.Values[j] = t.Values[i]
 		out.Sites[j] = t.Sites[i]
 	}
@@ -310,14 +330,4 @@ func TrainTest(folds [][]int, f int) (train, test []int) {
 		}
 	}
 	return train, test
-}
-
-// DistinctLabels counts the distinct value labels in the table (the
-// paper's per-parameter "variability").
-func (t *Table) DistinctLabels() int {
-	seen := make(map[string]struct{}, 16)
-	for _, l := range t.Labels {
-		seen[l] = struct{}{}
-	}
-	return len(seen)
 }

@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"slices"
 	"testing"
 
 	"auric/internal/lte"
@@ -29,8 +30,8 @@ func TestBuildSingular(t *testing.T) {
 		if got := w.Current.Get(s.From, pi); got != tb.Values[i] {
 			t.Fatalf("row %d value %v != config %v", i, tb.Values[i], got)
 		}
-		if tb.Labels[i] != tb.Spec.Format(tb.Values[i]) {
-			t.Fatalf("row %d label %q mismatch", i, tb.Labels[i])
+		if tb.Label(i) != tb.Spec.Format(tb.Values[i]) {
+			t.Fatalf("row %d label %q mismatch", i, tb.Label(i))
 		}
 	}
 }
@@ -155,18 +156,103 @@ func TestSubsetAndSample(t *testing.T) {
 }
 
 func TestDistinctLabels(t *testing.T) {
-	tb := &Table{Spec: paramspec.Param{Name: "x", Min: 0, Max: 10, Step: 1}}
-	tb.Labels = []string{"1", "2", "2", "3"}
-	if got := tb.DistinctLabels(); got != 3 {
-		t.Fatalf("DistinctLabels = %d", got)
+	tb := &Table{ColNames: []string{"a"}, Spec: paramspec.Param{Name: "x", Min: 0, Max: 10, Step: 1}}
+	for i, l := range []string{"1", "2", "2", "3"} {
+		tb.AppendRow([]string{"v"}, l, 0, Site{From: lte.CarrierID(i), To: -1})
+	}
+	if got := tb.LabelDict.Len(); got != 3 {
+		t.Fatalf("LabelDict.Len() = %d", got)
+	}
+}
+
+// checkLabels asserts the label-column invariant: LabelDict holds exactly
+// the table's labels in first-seen row order, each row's code is its
+// label's position there, and each label is the Format of its value.
+func checkLabels(t *testing.T, what string, tb *Table) {
+	t.Helper()
+	var want []string
+	pos := map[string]int32{}
+	for i := 0; i < tb.Len(); i++ {
+		l := tb.Spec.Format(tb.Values[i])
+		if got := tb.Label(i); got != l {
+			t.Fatalf("%s: row %d label %q, want %q", what, i, got, l)
+		}
+		c, ok := pos[l]
+		if !ok {
+			c = int32(len(want))
+			pos[l] = c
+			want = append(want, l)
+		}
+		if tb.LabelCodes[i] != c {
+			t.Fatalf("%s: row %d code %d, want first-seen %d", what, i, tb.LabelCodes[i], c)
+		}
+	}
+	if got := tb.LabelDict.Strings(); !slices.Equal(got, want) {
+		t.Fatalf("%s: LabelDict = %q, want %q", what, got, want)
+	}
+}
+
+// TestLabelDictFirstSeen pins the label-column invariant for every way a
+// table is derived: Labeled (singular and pair-wise), Subset and Sample.
+func TestLabelDictFirstSeen(t *testing.T) {
+	w := world()
+	b := NewBuilder(w.Net, w.X2, MarketFilter(w.Net, 0))
+	for _, pi := range []int{w.Schema.IndexOf("pMax"), w.Schema.IndexOf("hysA3Offset")} {
+		tb := b.Labeled(w.Current, pi)
+		name := w.Schema.At(pi).Name
+		if tb.LabelDict.Len() < 2 {
+			t.Fatalf("%s: %d distinct labels, want several", name, tb.LabelDict.Len())
+		}
+		checkLabels(t, name, tb)
+		// A reversed subset meets the labels in a different order, so its
+		// codes must be renumbered, not copied.
+		idx := make([]int, tb.Len())
+		for i := range idx {
+			idx[i] = tb.Len() - 1 - i
+		}
+		checkLabels(t, name+" reversed subset", tb.Subset(idx))
+		checkLabels(t, name+" sample", tb.Sample(tb.Len()/3, 11))
+	}
+}
+
+// TestAppendSampleInternsCopyOnWrite pins AppendSample's label interning
+// on a rebased table: a known label reuses the shared dictionary, a new
+// label clones it without touching the table it was rebased from, and a
+// second sample with that label reuses the new code.
+func TestAppendSampleInternsCopyOnWrite(t *testing.T) {
+	w := world()
+	src := NewBuilder(w.Net, w.X2, MarketFilter(w.Net, 0)).Labeled(w.Current, w.Schema.IndexOf("pMax"))
+	n, nl := src.Len(), src.LabelDict.Len()
+	strs := slices.Clone(src.LabelDict.Strings())
+	codes := slices.Clone(src.LabelCodes)
+
+	ext := ExtendBase(src, [][]string{src.Row(0), src.Row(1), src.Row(2)})
+	r := ext.Rebase(src)
+	r.AppendSample(ext.FirstRow(), src.Label(0), src.Values[0], Site{From: 9001, To: -1})
+	if r.LabelDict != src.LabelDict || r.LabelCodes[n] != src.LabelCodes[0] {
+		t.Fatal("a known label did not reuse the shared dictionary's code")
+	}
+	r.AppendSample(ext.FirstRow()+1, "new", -1, Site{From: 9002, To: -1})
+	r.AppendSample(ext.FirstRow()+2, "new", -1, Site{From: 9003, To: -1})
+	if r.LabelDict == src.LabelDict {
+		t.Fatal("a new label was interned into the shared dictionary")
+	}
+	if r.LabelCodes[n+1] != int32(nl) || r.LabelCodes[n+2] != int32(nl) || r.Label(n+2) != "new" {
+		t.Fatalf("new label codes %v, want %d twice", r.LabelCodes[n+1:], nl)
+	}
+	if r.LabelDict.Len() != nl+1 {
+		t.Fatalf("rebased LabelDict.Len() = %d, want %d", r.LabelDict.Len(), nl+1)
+	}
+	if src.Len() != n || src.LabelDict.Len() != nl || src.LabelDict.Code("new") != -1 ||
+		!slices.Equal(src.LabelDict.Strings(), strs) || !slices.Equal(src.LabelCodes, codes) {
+		t.Fatal("appending a new label changed the table it was rebased from")
 	}
 }
 
 func TestFoldsPanicsOnBadK(t *testing.T) {
-	tb := &Table{ColNames: []string{"a"}, Labels: make([]string, 3)}
+	tb := &Table{ColNames: []string{"a"}}
 	for i := 0; i < 3; i++ {
-		tb.AppendRow([]string{"v"})
-		tb.Sites = append(tb.Sites, Site{From: lte.CarrierID(i), To: -1})
+		tb.AppendRow([]string{"v"}, "", 0, Site{From: lte.CarrierID(i), To: -1})
 	}
 	defer func() {
 		if recover() == nil {

@@ -40,6 +40,9 @@ func (d *Dict) Code(s string) int32 {
 // String returns the value of a code assigned by Intern.
 func (d *Dict) String(code int32) string { return d.strs[code] }
 
+// Strings returns the values in code order. Treat it as read-only.
+func (d *Dict) Strings() []string { return d.strs[:len(d.strs):len(d.strs)] }
+
 // Len reports the number of distinct values (the column's cardinality).
 func (d *Dict) Len() int { return len(d.strs) }
 

@@ -61,22 +61,24 @@ func (e *Extension) FirstRow() int32 { return int32(e.old.n) }
 
 // Rebase returns a view of t over the extended base: same samples, same
 // row mapping, new code space. The result is a fresh Table whose
-// per-sample slices still alias t's until the caller appends to them (see
-// AppendSample); t itself is untouched and keeps serving readers of the
-// previous generation.
+// per-sample slices and label dictionary still alias t's until the caller
+// appends to them (see AppendSample); t itself is untouched and keeps
+// serving readers of the previous generation.
 func (e *Extension) Rebase(t *Table) *Table {
 	if t.base != e.old && t.base != e.neu {
 		panic("dataset: Rebase on a table from a different base family")
 	}
 	return &Table{
-		Param:    t.Param,
-		Spec:     t.Spec,
-		ColNames: t.ColNames,
-		Labels:   t.Labels,
-		Values:   t.Values,
-		Sites:    t.Sites,
-		base:     e.neu,
-		rowIdx:   t.rowIdx,
+		Param:        t.Param,
+		Spec:         t.Spec,
+		ColNames:     t.ColNames,
+		LabelCodes:   t.LabelCodes,
+		LabelDict:    t.LabelDict,
+		Values:       t.Values,
+		Sites:        t.Sites,
+		base:         e.neu,
+		rowIdx:       t.rowIdx,
+		sharedLabels: true,
 	}
 }
 
@@ -88,13 +90,29 @@ func (e *Extension) Rebase(t *Table) *Table {
 // generations never index. The row-index and Sites slices Builder.Labeled
 // shares between sibling tables come at full capacity, so a sibling's
 // first append copies them and never writes where another table reads.
+// The label is interned copy-on-write too: the first label the source
+// table never held clones the shared dictionary, and later samples with
+// that label reuse its code.
 func (t *Table) AppendSample(baseRow int32, label string, value float64, site Site) {
 	if t.rowIdx != nil {
 		t.rowIdx = append(t.rowIdx, baseRow)
-	} else if int(baseRow) != len(t.Labels) {
-		panic(fmt.Sprintf("dataset: identity table sample at base row %d, want %d", baseRow, len(t.Labels)))
+	} else if int(baseRow) != len(t.LabelCodes) {
+		panic(fmt.Sprintf("dataset: identity table sample at base row %d, want %d", baseRow, len(t.LabelCodes)))
 	}
-	t.Labels = append(t.Labels, label)
+	t.appendSample(label, value, site)
+}
+
+// appendSample appends one sample's label, value and site.
+func (t *Table) appendSample(label string, value float64, site Site) {
+	code := t.LabelDict.Code(label)
+	if code < 0 {
+		if t.sharedLabels {
+			t.LabelDict = t.LabelDict.CloneForIntern()
+			t.sharedLabels = false
+		}
+		code = t.LabelDict.Intern(label)
+	}
+	t.LabelCodes = append(t.LabelCodes, code)
 	t.Values = append(t.Values, value)
 	t.Sites = append(t.Sites, site)
 }

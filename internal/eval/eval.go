@@ -150,10 +150,10 @@ func crossValidate(t *dataset.Table, l learn.Learner, net *lte.Network, x2 *geo.
 				label = m.Predict(row).Label
 			}
 			res.Total++
-			if label == t.Labels[i] {
+			if cur := t.Label(i); label == cur {
 				res.Correct++
 			} else if onMismatch != nil {
-				onMismatch(Mismatch{Param: t.Param, Site: t.Sites[i], Predicted: label, Current: t.Labels[i]})
+				onMismatch(Mismatch{Param: t.Param, Site: t.Sites[i], Predicted: label, Current: cur})
 			}
 		}
 	}

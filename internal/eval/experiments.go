@@ -75,7 +75,7 @@ func Fig2(w *netsim.World) []VariabilityRow {
 	rows := make([]VariabilityRow, w.Schema.Len())
 	for pi := 0; pi < w.Schema.Len(); pi++ {
 		t := b.Labeled(w.Current, pi)
-		rows[pi] = VariabilityRow{Param: w.Schema.At(pi).Name, Distinct: t.DistinctLabels()}
+		rows[pi] = VariabilityRow{Param: w.Schema.At(pi).Name, Distinct: t.LabelDict.Len()}
 	}
 	sort.SliceStable(rows, func(i, j int) bool {
 		if rows[i].Distinct != rows[j].Distinct {
@@ -104,7 +104,7 @@ func Fig3(w *netsim.World) []MarketVariabilityRow {
 		}
 		for m := range w.Net.Markets {
 			t := builders[m].Labeled(w.Current, pi)
-			row.PerMarket[m] = t.DistinctLabels()
+			row.PerMarket[m] = t.LabelDict.Len()
 		}
 		out[pi] = row
 	}
@@ -240,7 +240,7 @@ func GlobalLearnerComparison(w *netsim.World, markets []int, specs []LearnerSpec
 		b := dataset.NewBuilder(w.Net, w.X2, dataset.MarketFilter(w.Net, market))
 		err := forEachParam(cv.Workers, allParams(w), func(pi int) error {
 			t := b.Labeled(w.Current, pi)
-			distinct := t.DistinctLabels()
+			distinct := t.LabelDict.Len()
 			for _, spec := range specs {
 				res, err := CrossValidate(t, spec.Build(), cv, nil)
 				if err != nil {
@@ -382,7 +382,7 @@ func Fig11(w *netsim.World, topN int, cv CVOptions) ([]Fig11Row, error) {
 			}
 			mu.Lock()
 			row.PerMarket[m] = res.Accuracy()
-			row.DistinctPer[m] = t.DistinctLabels()
+			row.DistinctPer[m] = t.LabelDict.Len()
 			mu.Unlock()
 			return nil
 		})

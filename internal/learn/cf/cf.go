@@ -86,14 +86,14 @@ func init() { learn.Register("collaborative-filtering", func() learn.Learner { r
 
 // Relaxation telemetry: the ladder level a vote settles at is the single
 // best signal of evidence quality in production (level 0 = copy/paste
-// similarity, higher levels = progressively vaguer pools), so every
-// prediction counts its level and whether it resolved through the exact
-// full-key index. The counters live on the default registry next to the
-// CF latency histograms, letting operators alert on evidence erosion
-// (e.g. rising level-2+ share after an attribute taxonomy change).
-// Predict and PredictCodes count each prediction as it leaves the model; a
-// batch fan-out predicts through PredictCodesUncounted and publishes one
-// Levels tally per batch instead.
+// similarity, higher levels = progressively vaguer pools). The counters
+// live on the default registry next to the CF latency histograms, letting
+// operators alert on evidence erosion (e.g. rising level-2+ share after an
+// attribute taxonomy change). Predictions are not counted as they leave
+// the model: a caller tallies their Diag.Level in a Levels and publishes
+// it, as the engine does once per recommend batch. A level-0 vote always
+// resolves through the exact full-key index, so the exact-index counter
+// equals the level-0 child.
 var (
 	relaxationLevel = obs.Default().CounterVec(
 		"auric_cf_relaxation_level_total",
@@ -101,7 +101,7 @@ var (
 		"level")
 	exactIndexHits = obs.Default().Counter(
 		"auric_cf_exact_index_hits_total",
-		"CF predictions resolved through the exact full-dependent-set index (relaxation level 0).")
+		"CF predictions resolved through the exact full-dependent-set index (relaxation level 0; always equal to that level's count).")
 
 	// Pre-resolved level counters for the hot path: ladders deeper than
 	// the array fall back to the (allocating) label lookup, which only
@@ -276,29 +276,14 @@ func fit(t *dataset.Table, opts Options, sh *Shared) (*Model, error) {
 	sc := getFitScratch(n)
 	defer fitScratchPool.Put(sc)
 
-	// Intern the label column of this table view; votes tally into dense
-	// arrays indexed by these codes.
-	labelDict := dataset.NewDict()
-	y := make([]int32, n)
-	for i, lab := range t.Labels {
-		y[i] = labelDict.Intern(lab)
-	}
-	numLabels := labelDict.Len()
-	labels := make([]string, numLabels)
-	for c := range labels {
-		labels[c] = labelDict.String(int32(c))
-	}
+	// Votes tally into dense arrays indexed by the table's label codes.
+	y := t.LabelCodes
+	numLabels := t.LabelDict.Len()
 	labelCounts := make([]int32, numLabels)
 	for _, c := range y {
 		labelCounts[c]++
 	}
-
-	m := &Model{
-		t: t, opts: opts,
-		labels: labels, labelCodes: y,
-		labelDict: labelDict, labelCounts: labelCounts,
-		live: n,
-	}
+	m := &Model{t: t, opts: opts, labelCounts: labelCounts, live: n}
 
 	// Count every column against the labels into a persistent dense table.
 	// These tables are fitted state, not scratch: computeDeps selects and
@@ -328,14 +313,16 @@ func fit(t *dataset.Table, opts Options, sh *Shared) (*Model, error) {
 // setGlobal records the live-row majority label and its share: the vote of
 // the unscoped empty dependent set and the last-resort fallback.
 func (m *Model) setGlobal() {
-	best, n := topLabel(m.labelCounts, m.labels)
-	m.globalLabel, m.globalShare = m.labels[best], float64(n)/float64(m.live)
+	label, n := m.topLabel(m.labelCounts)
+	m.globalLabel, m.globalShare = label, float64(n)/float64(m.live)
 }
 
-// topLabel returns the code of the most frequent label in counts and its
-// count. Ties break to the lexicographically smallest label, matching
-// learn.MajorityLabel. At least one count must be positive.
-func topLabel(counts []int32, labels []string) (int, int32) {
+// topLabel returns the most frequent label in counts, which are indexed by
+// the table's label codes, and its count. Ties break to the
+// lexicographically smallest label, matching learn.MajorityLabel. At least
+// one count must be positive.
+func (m *Model) topLabel(counts []int32) (string, int32) {
+	labels := m.t.LabelDict.Strings()
 	best, bestN := -1, int32(0)
 	for l, n := range counts {
 		if n == 0 {
@@ -345,7 +332,7 @@ func topLabel(counts []int32, labels []string) (int, int32) {
 			best, bestN = l, n
 		}
 	}
-	return best, bestN
+	return labels[best], bestN
 }
 
 // computeDeps derives the dependent-column set, its ladder ordering, the
@@ -363,7 +350,7 @@ func topLabel(counts []int32, labels []string) (int, int32) {
 // column order.
 func (m *Model) computeDeps() {
 	ncols := m.t.NumCols()
-	numLabels := len(m.labels)
+	numLabels := len(m.labelCounts)
 	m.valueShare = make([][]float64, ncols)
 	m.valuePin = make([][]float64, ncols)
 
@@ -672,10 +659,7 @@ type Model struct {
 	depStats []float64 // matching Cramér's V per dependent column
 	keyCols  []int     // dependent columns ascending: the exact-index key
 
-	labels      []string      // label string per label code, first-seen order
-	labelCodes  []int32       // label code per training row (incl. dead rows)
-	labelDict   *dataset.Dict // label string -> code, COW-extended by Update
-	labelCounts []int32       // live rows per label code
+	labelCounts []int32 // live rows per code of the table's LabelDict
 
 	// colCounts[c] is the dense (code, label) contingency table of column c
 	// over the live rows — the tables the chi-square dependency selection
@@ -857,9 +841,7 @@ func (m *Model) AppendEncodeRow(dst []int32, row []string) []int32 {
 func (m *Model) Predict(row []string) learn.Prediction {
 	ps := predictScratchPool.Get().(*predictScratch)
 	defer putPredictScratch(ps)
-	p := m.predict(ps, row, m.encode(ps, row), nil)
-	countLevel(p.Diag.Level)
-	return p
+	return m.predict(ps, row, m.encode(ps, row), nil)
 }
 
 // PredictCodes implements learn.CodesModel and is the model's one voting
@@ -875,32 +857,14 @@ func (m *Model) Predict(row []string) learn.Prediction {
 // exist, and never substitutes a vaguer local pool for more specific
 // global evidence.
 func (m *Model) PredictCodes(codes []int32, row []string, sc *learn.Scope) learn.Prediction {
-	p := m.PredictCodesUncounted(codes, row, sc)
-	countLevel(p.Diag.Level)
-	return p
-}
-
-// PredictCodesUncounted is PredictCodes without the auric_cf_* counter
-// adds. A caller making many predictions adds each one's Diag.Level to a
-// Levels tally and publishes it once, so the counters reach the same
-// values with one add per level instead of two per prediction.
-func (m *Model) PredictCodesUncounted(codes []int32, row []string, sc *learn.Scope) learn.Prediction {
 	ps := predictScratchPool.Get().(*predictScratch)
 	defer putPredictScratch(ps)
 	return m.predict(ps, row, codes, sc)
 }
 
-// countLevel counts one prediction that settled at ladder level lvl (-1 for
-// the fallback) on the relaxation counters.
-func countLevel(lvl int) {
-	var l Levels
-	l.Add(lvl)
-	l.Publish()
-}
-
-// Levels tallies the ladder levels of predictions made through
-// PredictCodesUncounted. The zero value is empty; a Levels is not safe for
-// concurrent use.
+// Levels tallies the ladder levels of predictions for the relaxation
+// counters. The zero value is empty; a Levels is not safe for concurrent
+// use.
 type Levels struct {
 	n    [len(relaxLevelFast) + 1]uint64 // n[0]: fallbacks; n[l+1]: level l
 	deep map[int]uint64                  // levels beyond relaxLevelFast
@@ -919,8 +883,7 @@ func (l *Levels) Add(lvl int) {
 	}
 }
 
-// Publish adds the tally to the relaxation counters, as many calls of
-// PredictCodes would have, and empties it.
+// Publish adds the tally to the relaxation counters and empties it.
 func (l *Levels) Publish() {
 	if n := l.n[0]; n > 0 {
 		relaxFallback.Add(n)
@@ -1096,10 +1059,11 @@ func (m *Model) verdict(label string, share float64, n int, deps []int, drop int
 
 // tallyCounts returns the pooled per-label-code counters, cleared.
 func (m *Model) tallyCounts(ps *predictScratch) []int32 {
-	if cap(ps.counts) < len(m.labels) {
-		ps.counts = make([]int32, len(m.labels))
+	nl := len(m.labelCounts)
+	if cap(ps.counts) < nl {
+		ps.counts = make([]int32, nl)
 	}
-	counts := ps.counts[:len(m.labels)]
+	counts := ps.counts[:nl]
 	clear(counts)
 	return counts
 }
@@ -1107,12 +1071,12 @@ func (m *Model) tallyCounts(ps *predictScratch) []int32 {
 // majorityOf tallies match labels into a dense per-code count array and
 // returns the most frequent label (topLabel's tie-break) and its share.
 func (m *Model) majorityOf(ps *predictScratch, matches []int32) (string, float64) {
-	counts := m.tallyCounts(ps)
+	counts, y := m.tallyCounts(ps), m.t.LabelCodes
 	for _, idx := range matches {
-		counts[m.labelCodes[idx]]++
+		counts[y[idx]]++
 	}
-	best, bestN := topLabel(counts, m.labels)
-	return m.labels[best], float64(bestN) / float64(len(matches))
+	label, n := m.topLabel(counts)
+	return label, float64(n) / float64(len(matches))
 }
 
 // localVote is one level's vote among the voters sc admits: the admitted
@@ -1120,12 +1084,12 @@ func (m *Model) majorityOf(ps *predictScratch, matches []int32) (string, float64
 // site, read off the per-site row lists. A scope that admits no voter is
 // never decisive.
 func (m *Model) localVote(ps *predictScratch, cands []int32, deps []int, drop int, sc *learn.Scope) (learn.Prediction, bool) {
-	counts := m.tallyCounts(ps)
+	counts, y := m.tallyCounts(ps), m.t.LabelCodes
 	n := 0
 	if len(deps) > 0 {
 		for _, idx := range cands {
 			if sc.Admits(m.t.Sites[idx].From) {
-				counts[m.labelCodes[idx]]++
+				counts[y[idx]]++
 				n++
 			}
 		}
@@ -1134,7 +1098,7 @@ func (m *Model) localVote(ps *predictScratch, cands []int32, deps []int, drop in
 		for _, id := range sc.IDs() {
 			rows := m.siteRows[id]
 			for _, idx := range rows {
-				counts[m.labelCodes[idx]]++
+				counts[y[idx]]++
 			}
 			n += len(rows)
 		}
@@ -1142,8 +1106,8 @@ func (m *Model) localVote(ps *predictScratch, cands []int32, deps []int, drop in
 	if n == 0 {
 		return learn.Prediction{}, false
 	}
-	best, bestN := topLabel(counts, m.labels)
-	return m.verdict(m.labels[best], float64(bestN)/float64(n), n, deps, drop, true)
+	label, bestN := m.topLabel(counts)
+	return m.verdict(label, float64(bestN)/float64(n), n, deps, drop, true)
 }
 
 // matches returns the live training rows matching the query codes on a

@@ -50,7 +50,7 @@ func refFit(t *dataset.Table, opts Options) *refModel {
 	for c := range t.ColNames {
 		ct := stats.NewContingency()
 		for i := 0; i < t.Len(); i++ {
-			ct.Add(t.At(i, c), t.Labels[i])
+			ct.Add(t.At(i, c), t.Label(i))
 		}
 		stat, df := ct.ChiSquare()
 		if df == 0 {
@@ -75,7 +75,11 @@ func refFit(t *dataset.Table, opts Options) *refModel {
 		k := refKey(t.Row(i), m.deps)
 		m.index[k] = append(m.index[k], int32(i))
 	}
-	m.globalLabel, m.globalShare = learn.MajorityLabel(t.Labels)
+	labels := make([]string, t.Len())
+	for i := range labels {
+		labels[i] = t.Label(i)
+	}
+	m.globalLabel, m.globalShare = learn.MajorityLabel(labels)
 	m.fitValueShares()
 	return m
 }
@@ -94,7 +98,7 @@ func (m *refModel) fitValueShares() {
 				c = make(map[string]int, 4)
 				counts[v] = c
 			}
-			c[m.t.Labels[i]]++
+			c[m.t.Label(i)]++
 			totals[v]++
 		}
 		shares := make(map[string]float64, len(totals))
@@ -200,7 +204,7 @@ func (m *refModel) vote(row []string, deps []int, full bool, allowed func(datase
 	}
 	labels := make([]string, len(matches))
 	for i, idx := range matches {
-		labels[i] = m.t.Labels[idx]
+		labels[i] = m.t.Label(int(idx))
 	}
 	label, share := learn.MajorityLabel(labels)
 	conf := share
@@ -299,10 +303,7 @@ func randomTable(r *rng.RNG, n int) *dataset.Table {
 		if r.Bool(0.1) {
 			label = fmt.Sprintf("N%d", r.Intn(4))
 		}
-		tb.AppendRow(row)
-		tb.Labels = append(tb.Labels, label)
-		tb.Values = append(tb.Values, 0)
-		tb.Sites = append(tb.Sites, dataset.Site{From: lte.CarrierID(i), To: -1})
+		tb.AppendRow(row, label, 0, dataset.Site{From: lte.CarrierID(i), To: -1})
 	}
 	return tb
 }

@@ -108,7 +108,7 @@ func TestSharedPostings(t *testing.T) {
 	n := c.t.Len()
 	ext := dataset.ExtendBase(a.t, [][]string{a.t.Row(0)})
 	t2 := ext.Rebase(a.t)
-	t2.AppendSample(ext.FirstRow(), a.t.Labels[0], a.t.Values[0], dataset.Site{From: 9001, To: a.t.Sites[0].To})
+	t2.AppendSample(ext.FirstRow(), a.t.Label(0), a.t.Values[0], dataset.Site{From: 9001, To: a.t.Sites[0].To})
 	a2, _, err := a.Update(t2, []dataset.Site{a.t.Sites[1]})
 	if err != nil {
 		t.Fatal(err)

@@ -40,10 +40,7 @@ func RuleTable(n int, noiseRate float64, seed uint64) *dataset.Table {
 		row := []string{m, f, fmt.Sprint(r.Intn(50)), fmt.Sprint(r.Intn(50))}
 		var value float64
 		fmt.Sscanf(label, "%g", &value)
-		t.AppendRow(row)
-		t.Labels = append(t.Labels, label)
-		t.Values = append(t.Values, value)
-		t.Sites = append(t.Sites, dataset.Site{From: lte.CarrierID(i), To: -1})
+		t.AppendRow(row, label, value, dataset.Site{From: lte.CarrierID(i), To: -1})
 	}
 	return t
 }

@@ -87,7 +87,7 @@ func (m *Model) Predict(row []string) learn.Prediction {
 	}
 	labels := make([]string, k)
 	for i := 0; i < k; i++ {
-		labels[i] = m.t.Labels[cands[i].idx]
+		labels[i] = m.t.Label(cands[i].idx)
 	}
 	label, share := learn.MajorityLabel(labels)
 	return learn.Prediction{

@@ -30,10 +30,7 @@ func TestExactMatchWins(t *testing.T) {
 	// Hand-built table: the query has one exact twin and many far rows.
 	tb := &dataset.Table{Spec: learntest.Spec(), ColNames: []string{"a", "b", "c"}}
 	add := func(a, b, c, label string) {
-		tb.AppendRow([]string{a, b, c})
-		tb.Labels = append(tb.Labels, label)
-		tb.Values = append(tb.Values, 0)
-		tb.Sites = append(tb.Sites, dataset.Site{From: lte.CarrierID(tb.Len()), To: -1})
+		tb.AppendRow([]string{a, b, c}, label, 0, dataset.Site{From: lte.CarrierID(tb.Len() + 1), To: -1})
 	}
 	add("x", "y", "z", "близко") // exact twin of the query
 	for i := 0; i < 10; i++ {
@@ -56,10 +53,7 @@ func TestIrrelevantAttributesMislead(t *testing.T) {
 	tb := &dataset.Table{Spec: learntest.Spec(),
 		ColNames: []string{"morph", "n1", "n2", "n3", "n4"}}
 	add := func(row []string, label string) {
-		tb.AppendRow(row)
-		tb.Labels = append(tb.Labels, label)
-		tb.Values = append(tb.Values, 0)
-		tb.Sites = append(tb.Sites, dataset.Site{From: lte.CarrierID(tb.Len()), To: -1})
+		tb.AppendRow(row, label, 0, dataset.Site{From: lte.CarrierID(tb.Len() + 1), To: -1})
 	}
 	// One carrier shares the query's decisive morph=alpine but differs in
 	// all noise columns.

@@ -134,7 +134,7 @@ func (l *Learner) Fit(t *dataset.Table) (learn.Model, error) {
 	var values []float64
 	for i, v := range t.Values {
 		if _, ok := seen[v]; !ok {
-			seen[v] = t.Labels[i]
+			seen[v] = t.Label(i)
 			values = append(values, v)
 		}
 	}

@@ -38,10 +38,7 @@ func TestLearnsAdditiveRule(t *testing.T) {
 		m := rng.Pick(r, morphs)
 		f := rng.Pick(r, freqs)
 		v := value(m, f)
-		tb.AppendRow([]string{m, f, fmt.Sprint(r.Intn(40))})
-		tb.Labels = append(tb.Labels, fmt.Sprintf("%g", v))
-		tb.Values = append(tb.Values, v)
-		tb.Sites = append(tb.Sites, dataset.Site{From: lte.CarrierID(i), To: -1})
+		tb.AppendRow([]string{m, f, fmt.Sprint(r.Intn(40))}, fmt.Sprintf("%g", v), v, dataset.Site{From: lte.CarrierID(i), To: -1})
 	}
 	m, err := (&Learner{Opts: Options{Lambda: 0.01}}).Fit(tb)
 	if err != nil {
@@ -100,8 +97,8 @@ func TestPredictionsOnGrid(t *testing.T) {
 	tb := learntest.RuleTable(300, 0.1, 4)
 	m, _ := New().Fit(tb)
 	seen := map[string]bool{}
-	for _, l := range tb.Labels {
-		seen[l] = true
+	for i := range tb.LabelCodes {
+		seen[tb.Label(i)] = true
 	}
 	for i := 0; i < 50; i++ {
 		p := m.Predict(tb.Row(i))
@@ -126,8 +123,10 @@ func TestRegisteredInRegistry(t *testing.T) {
 
 func TestConstantTable(t *testing.T) {
 	tb := learntest.RuleTable(50, 0, 5)
-	for i := range tb.Labels {
-		tb.Labels[i] = "7"
+	tb.LabelDict = dataset.NewDict()
+	seven := tb.LabelDict.Intern("7")
+	for i := range tb.LabelCodes {
+		tb.LabelCodes[i] = seven
 		tb.Values[i] = 7
 	}
 	m, err := New().Fit(tb)

@@ -92,25 +92,14 @@ func (l *Learner) Fit(t *dataset.Table) (learn.Model, error) {
 	opts := l.Opts.withDefaults()
 
 	enc := onehot.FitTable(t)
-	classIdx := make(map[string]int)
-	var classes []string
-	y := make([]int, t.Len())
-	for i, lab := range t.Labels {
-		ci, ok := classIdx[lab]
-		if !ok {
-			ci = len(classes)
-			classIdx[lab] = ci
-			classes = append(classes, lab)
-		}
-		y[i] = ci
-	}
+	classes := t.LabelDict.Strings()
 	m := &Model{enc: enc, classes: classes, opts: opts}
 	if len(classes) == 1 {
 		m.constant = true
 		return m, nil
 	}
 	m.initWeights(enc.Width(), len(classes))
-	m.train(t, y)
+	m.train(t, t.LabelCodes)
 	return m, nil
 }
 
@@ -151,7 +140,7 @@ func (m *Model) initWeights(in, out int) {
 }
 
 // train runs mini-batch Adam over the encoded table.
-func (m *Model) train(t *dataset.Table, y []int) {
+func (m *Model) train(t *dataset.Table, y []int32) {
 	opts := m.opts
 	n := t.Len()
 	r := rng.New(opts.Seed ^ 0xadab)
@@ -209,7 +198,7 @@ func (m *Model) train(t *dataset.Table, y []int) {
 
 // adamStep performs one mini-batch forward/backward pass and Adam update,
 // returning the mean cross-entropy loss of the batch.
-func (m *Model) adamStep(encoded []float64, width int, y, batch []int,
+func (m *Model) adamStep(encoded []float64, width int, y []int32, batch []int,
 	mw, vw []*matrix.Dense, mb, vb [][]float64, step *int, beta1, beta2, eps float64) float64 {
 
 	b := len(batch)
@@ -251,7 +240,7 @@ func (m *Model) adamStep(encoded []float64, width int, y, batch []int,
 			drow[j] = e
 			sum += e
 		}
-		target := y[batch[i]]
+		target := int(y[batch[i]])
 		for j := range drow {
 			p := drow[j] / sum
 			if j == target {

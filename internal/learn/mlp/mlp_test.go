@@ -54,8 +54,10 @@ func TestPaperArchitecture(t *testing.T) {
 
 func TestConstantTableShortCircuits(t *testing.T) {
 	tb := learntest.RuleTable(40, 0, 5)
-	for i := range tb.Labels {
-		tb.Labels[i] = "7"
+	tb.LabelDict = dataset.NewDict()
+	seven := tb.LabelDict.Intern("7")
+	for i := range tb.LabelCodes {
+		tb.LabelCodes[i] = seven
 	}
 	m, err := New().Fit(tb)
 	if err != nil {

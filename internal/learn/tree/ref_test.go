@@ -140,11 +140,11 @@ func newRefBuilder(t *dataset.Table, opts Options) *refBuilder {
 			enc[c] = id
 		}
 		b.rows[i] = enc
-		l, ok := labelIdx[t.Labels[i]]
+		l, ok := labelIdx[t.Label(i)]
 		if !ok {
 			l = int32(len(b.labels))
-			labelIdx[t.Labels[i]] = l
-			b.labels = append(b.labels, t.Labels[i])
+			labelIdx[t.Label(i)] = l
+			b.labels = append(b.labels, t.Label(i))
 		}
 		b.y[i] = l
 	}

@@ -91,7 +91,7 @@ func (l *Learner) FitIndices(t *dataset.Table, idx []int) (*Tree, error) {
 // Frame is the columnar encoded view of one learning table: the table's
 // shared dictionary codes remapped to table-first-seen local ids (flat
 // []int32 remap per column, codes laid out in one column-major arena),
-// plus the interned label column and the per-column vocabularies. A Frame
+// plus the table's label codes and the per-column vocabularies. A Frame
 // is immutable once built, so any number of trees — including concurrent
 // bootstrap fits — can grow over the same Frame; trees retain its
 // vocabulary slices, never its code columns.
@@ -100,8 +100,8 @@ type Frame struct {
 	n         int
 	numLabels int
 	codes     [][]int32 // per-column local codes in table row order
-	y         []int32   // local label codes in table row order
-	labels    []string
+	y         []int32   // the table's label codes, first-seen order
+	labels    []string  // the table's label dictionary, in code order
 	colVocab  []map[string]int32
 	catNames  [][]string // reverse of colVocab: local id -> category name
 	cards     []int32    // per-column local vocabulary size
@@ -169,17 +169,8 @@ func NewFrame(t *dataset.Table) *Frame {
 	}
 	f.width = int(f.colOff[ncols])
 
-	f.y = make([]int32, n)
-	labelIdx := make(map[string]int32)
-	for i, lab := range t.Labels {
-		id, ok := labelIdx[lab]
-		if !ok {
-			id = int32(len(f.labels))
-			labelIdx[lab] = id
-			f.labels = append(f.labels, lab)
-		}
-		f.y[i] = id
-	}
+	f.y = t.LabelCodes
+	f.labels = t.LabelDict.Strings()
 	f.numLabels = len(f.labels)
 	return f
 }

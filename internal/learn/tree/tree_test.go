@@ -29,7 +29,7 @@ func TestPureLeavesOnCleanData(t *testing.T) {
 	for i := 0; i < tb.Len(); i++ {
 		row := tb.Row(i)
 		p := m.Predict(row)
-		if p.Label != tb.Labels[i] {
+		if p.Label != tb.Label(i) {
 			t.Fatalf("training row %d mispredicted", i)
 		}
 		if p.Confidence != 1 {
@@ -115,8 +115,10 @@ func TestEmptyTable(t *testing.T) {
 
 func TestConstantLabels(t *testing.T) {
 	tb := learntest.RuleTable(50, 0, 11)
-	for i := range tb.Labels {
-		tb.Labels[i] = "42"
+	tb.LabelDict = dataset.NewDict()
+	code := tb.LabelDict.Intern("42")
+	for i := range tb.LabelCodes {
+		tb.LabelCodes[i] = code
 	}
 	m, err := New().Fit(tb)
 	if err != nil {

@@ -15,12 +15,10 @@ import (
 func TestUnseenCategoryRoutesNotEqual(t *testing.T) {
 	tbl := &dataset.Table{ColNames: []string{"band"}}
 	for i := 0; i < 5; i++ {
-		tbl.AppendRow([]string{"a"})
-		tbl.Labels = append(tbl.Labels, "L1")
+		tbl.AppendRow([]string{"a"}, "L1", 0, dataset.Site{})
 	}
 	for i := 0; i < 5; i++ {
-		tbl.AppendRow([]string{"b"})
-		tbl.Labels = append(tbl.Labels, "L2")
+		tbl.AppendRow([]string{"b"}, "L2", 0, dataset.Site{})
 	}
 	m, err := New().Fit(tbl)
 	if err != nil {

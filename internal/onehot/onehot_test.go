@@ -12,7 +12,7 @@ import (
 func table(names []string, rows ...[]string) *dataset.Table {
 	t := &dataset.Table{ColNames: names}
 	for _, r := range rows {
-		t.AppendRow(r)
+		t.AppendRow(r, "", 0, dataset.Site{})
 	}
 	return t
 }
